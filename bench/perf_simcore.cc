@@ -357,7 +357,7 @@ benchTraceCache(const sys::ModelConfig &model, uint64_t batches,
 /**
  * The batched Hit-Map probe family over a hit-rate x load-factor
  * grid: the scalar reference kernel lands in the serial column and
- * the runtime-dispatched kernel (AVX2/NEON when compiled and the CPU
+ * the runtime-dispatched kernel (AVX2 when compiled and the CPU
  * supports it) in the parallel column, so `speedup` reports the SIMD
  * win -- or ~1.0 scalar parity on hosts where dispatch falls back.
  * Output fingerprints are cross-checked: a kernel that diverges from

@@ -20,17 +20,6 @@ cpuSupportsAvx2()
 #endif
 }
 
-bool
-cpuSupportsNeon()
-{
-#if defined(__aarch64__)
-    // Advanced SIMD is architecturally mandatory on AArch64.
-    return true;
-#else
-    return false;
-#endif
-}
-
 SimdPreference
 parseSimdPreference(const char *value)
 {

@@ -2,13 +2,12 @@
  * @file
  * Runtime CPU feature detection and the SP_SIMD knob.
  *
- * The probe kernels (src/cache/probe_kernel.h) are compiled per
- * architecture -- the AVX2 translation unit with a per-file -mavx2,
- * the NEON one only on aarch64 -- so the binary stays portable and
- * the right kernel is picked at run time. This header answers the two
- * questions that selection needs: what the host CPU supports, and
- * what the user asked for via the SP_SIMD environment variable
- * (scalar | native, default native).
+ * The AVX2 probe kernel (src/cache/probe_kernel.h) is compiled in its
+ * own translation unit with a per-file -mavx2, so the binary stays
+ * portable and the right kernel is picked at run time. This header
+ * answers the two questions that selection needs: what the host CPU
+ * supports, and what the user asked for via the SP_SIMD environment
+ * variable (scalar | native, default native).
  */
 
 #ifndef SP_COMMON_CPU_FEATURES_H
@@ -19,9 +18,6 @@ namespace sp::common
 
 /** True when the host CPU executes AVX2 (x86-64 only; false elsewhere). */
 bool cpuSupportsAvx2();
-
-/** True on aarch64 (NEON/ASIMD is baseline there; false elsewhere). */
-bool cpuSupportsNeon();
 
 /** User intent for SIMD kernel selection. */
 enum class SimdPreference

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/spec_number.h"
 
 namespace sp::data
 {
@@ -31,17 +31,6 @@ mix64(uint64_t x)
     return x;
 }
 
-double
-parseSpecDouble(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    fatalIf(end == nullptr || *end != '\0' || value.empty(),
-            "workload spec: bad number '", value, "' for key '", key,
-            "'");
-    return parsed;
-}
-
 uint64_t
 parseSpecCount(const std::string &key, const std::string &value)
 {
@@ -52,16 +41,6 @@ parseSpecCount(const std::string &key, const std::string &value)
             "workload spec: '", key,
             "' must be a non-negative integer, got '", value, "'");
     return parsed;
-}
-
-std::string
-shortestDouble(double value)
-{
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    return ec == std::errc() ? std::string(buffer, end)
-                             : std::to_string(value);
 }
 
 /** Triangle wave in [-1, 1] with half-period `period` batches. */
@@ -84,7 +63,7 @@ WorkloadConfig::validationError(uint64_t rows_per_table) const
     if (drift_amp < 0.0 || !std::isfinite(drift_amp)) {
         os << "drift_amp must be finite and >= 0, got " << drift_amp;
     } else if (drift_amp > 0.0 && drift_period == 0) {
-        os << "drift_amp=" << shortestDouble(drift_amp)
+        os << "drift_amp=" << common::shortestDouble(drift_amp)
            << " needs drift_period > 0";
     } else if (drift_period > 0 && drift_amp == 0.0) {
         os << "drift_period=" << drift_period
@@ -103,7 +82,7 @@ WorkloadConfig::validationError(uint64_t rows_per_table) const
     } else if (burst_frac > 0.0 &&
                (burst_period == 0 || burst_len == 0 ||
                 burst_ranks == 0)) {
-        os << "burst_frac=" << shortestDouble(burst_frac)
+        os << "burst_frac=" << common::shortestDouble(burst_frac)
            << " needs burst_period, burst_len and burst_ranks > 0";
     } else if (burst_frac == 0.0 &&
                (burst_period > 0 || burst_len > 0 || burst_ranks > 0)) {
@@ -131,7 +110,7 @@ WorkloadConfig::summary() const
         separator = ',';
     };
     if (drift_amp != 0.0) {
-        emit("drift_amp", shortestDouble(drift_amp));
+        emit("drift_amp", common::shortestDouble(drift_amp));
         emit("drift_period", std::to_string(drift_period));
     }
     if (churn_k != 0) {
@@ -139,7 +118,7 @@ WorkloadConfig::summary() const
         emit("churn_period", std::to_string(churn_period));
     }
     if (burst_frac != 0.0) {
-        emit("burst_frac", shortestDouble(burst_frac));
+        emit("burst_frac", common::shortestDouble(burst_frac));
         emit("burst_period", std::to_string(burst_period));
         emit("burst_len", std::to_string(burst_len));
         emit("burst_ranks", std::to_string(burst_ranks));
@@ -174,7 +153,8 @@ WorkloadSpec::parse(const std::string &text)
                 "'");
         seen.push_back(key);
         if (key == "drift_amp") {
-            spec.config.drift_amp = parseSpecDouble(key, value);
+            spec.config.drift_amp =
+                common::parseSpecDouble("workload spec", key, value);
             shaped = true;
         } else if (key == "drift_period") {
             spec.config.drift_period = parseSpecCount(key, value);
@@ -186,7 +166,8 @@ WorkloadSpec::parse(const std::string &text)
             spec.config.churn_period = parseSpecCount(key, value);
             shaped = true;
         } else if (key == "burst_frac") {
-            spec.config.burst_frac = parseSpecDouble(key, value);
+            spec.config.burst_frac =
+                common::parseSpecDouble("workload spec", key, value);
             shaped = true;
         } else if (key == "burst_period") {
             spec.config.burst_period = parseSpecCount(key, value);

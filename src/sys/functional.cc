@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "data/access_stats.h"
 #include "emb/embedding_ops.h"
+#include "sys/scratchpipe_sys.h"
 
 namespace sp::sys
 {
@@ -304,45 +305,27 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    fatalIf(options.cache_fraction <= 0.0 || options.cache_fraction > 1.0,
-            "cache_fraction must be in (0, 1], got ",
-            options.cache_fraction);
-
-    const uint32_t pw = options_.pipelined ? options_.past_window : 0;
-    const uint32_t fw = options_.pipelined ? options_.future_window : 0;
-    uint64_t slots = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               options.cache_fraction *
-               static_cast<double>(config_.trace.rows_per_table)));
-    if (options.enforce_capacity_bound) {
-        slots = std::max<uint64_t>(
-            slots, core::ScratchPipeController::worstCaseSlots(
-                       pw, fw, config_.trace.idsPerTable()));
-    }
-    slots = std::min<uint64_t>(slots, config_.trace.rows_per_table);
-
-    core::ControllerConfig cc;
-    cc.num_slots = static_cast<uint32_t>(slots);
-    cc.dim = config_.embedding_dim;
-    cc.past_window = pw;
-    cc.future_window = fw;
-    cc.policy = options.policy;
-    cc.backing = cache::SlotArray::Backing::Dense;
-    cc.plan_shards =
-        options.plan_shards == 0
-            ? static_cast<uint32_t>(common::ThreadPool::global().size())
-            : options.plan_shards;
-    cc.probe = options.probe;
-    controllers_.reserve(config_.trace.num_tables);
-    for (size_t t = 0; t < config_.trace.num_tables; ++t) {
-        cc.policy_seed = 0x5eed + t;
-        controllers_.emplace_back(cc);
-        if (config_.optimizer == Optimizer::AdaGrad) {
-            // Optimizer state is slot-aligned with the scratchpad: the
-            // accumulator of a resident row lives at the row's slot.
-            state_storage_.emplace_back(cc.num_slots, cc.dim,
+    ScratchPipeOptions scratchpad;
+    scratchpad.cache_fraction = options.cache_fraction;
+    scratchpad.pipelined = options.pipelined;
+    scratchpad.policy = options.policy;
+    scratchpad.past_window = options.past_window;
+    scratchpad.future_window = options.future_window;
+    scratchpad.enforce_capacity_bound = options.enforce_capacity_bound;
+    // Warm start pre-fills phantom Storage only: dense Storage would
+    // hold no values for the pre-resident rows.
+    scratchpad.warm_start = false;
+    scratchpad.plan_shards = options.plan_shards;
+    scratchpad.probe = options.probe;
+    controllers_ = makeScratchpadControllers(
+        config_, scratchpad, cache::SlotArray::Backing::Dense);
+    if (config_.optimizer == Optimizer::AdaGrad) {
+        // Optimizer state is slot-aligned with the scratchpad: the
+        // accumulator of a resident row lives at the row's slot.
+        for (const auto &controller : controllers_)
+            state_storage_.emplace_back(controller.config().num_slots,
+                                        controller.config().dim,
                                         cache::SlotArray::Backing::Dense);
-        }
     }
 }
 

@@ -2,11 +2,11 @@
  * @file
  * Shared per-table [Plan] fan-out for the timing systems.
  *
- * ScratchPipeSystem and ScratchPipeMultiGpuSystem run one controller
- * per table over the same batch loop; the per-table plan calls are
- * independent, so they fan out across the worker pool. This helper
- * owns the reusable scratch (future-window span lists, per-table
- * outcomes) and the fan-out itself so the two systems cannot diverge.
+ * ScratchPipeSystem runs one controller per table over the batch
+ * loop, at any GPU count; the per-table plan calls are independent,
+ * so they fan out across the worker pool. This helper owns the
+ * reusable scratch (future-window span lists, per-table outcomes) and
+ * the fan-out itself.
  * Table t only writes slot t, keeping results bit-identical to a
  * serial table loop.
  *

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/controller.h"
 #include "emb/traffic.h"
+#include "nn/dlrm.h"
 #include "nn/flops.h"
 #include "sys/plan_fanout.h"
 #include "sys/registry.h"
@@ -16,31 +15,67 @@
 namespace sp::sys
 {
 
-ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
-                                     const sim::HardwareConfig &hardware,
-                                     const ScratchPipeOptions &options)
-    : model_(model), latency_(hardware), options_(options)
+uint32_t
+scratchpadSlots(const ModelConfig &model, const ScratchPipeOptions &options)
 {
-    model_.validate();
     // Written as !(in range) so NaN is rejected too.
     fatalIf(!(options.cache_fraction > 0.0 &&
               options.cache_fraction <= 1.0),
             "cache_fraction must be in (0, 1], got ",
             options.cache_fraction);
-
+    const uint64_t rows = model.trace.rows_per_table;
     const uint64_t nominal = static_cast<uint64_t>(
-        options.cache_fraction *
-        static_cast<double>(model_.trace.rows_per_table));
+        options.cache_fraction * static_cast<double>(rows));
     uint64_t slots = std::max<uint64_t>(nominal, 1);
     if (options.enforce_capacity_bound) {
         const uint32_t pw = options.pipelined ? options.past_window : 0;
         const uint32_t fw = options.pipelined ? options.future_window : 0;
         slots = std::max<uint64_t>(
             slots, core::ScratchPipeController::worstCaseSlots(
-                       pw, fw, model_.trace.idsPerTable()));
+                       pw, fw, model.trace.idsPerTable()));
     }
-    slots = std::min<uint64_t>(slots, model_.trace.rows_per_table);
-    slots_per_table_ = static_cast<uint32_t>(slots);
+    return static_cast<uint32_t>(std::min<uint64_t>(slots, rows));
+}
+
+std::vector<core::ScratchPipeController>
+makeScratchpadControllers(const ModelConfig &model,
+                          const ScratchPipeOptions &options,
+                          cache::SlotArray::Backing backing)
+{
+    core::ControllerConfig cc;
+    cc.num_slots = scratchpadSlots(model, options);
+    cc.dim = model.embedding_dim;
+    cc.past_window = options.pipelined ? options.past_window : 0;
+    cc.future_window = options.pipelined ? options.future_window : 0;
+    cc.policy = options.policy;
+    cc.backing = backing;
+    cc.warm_start = options.warm_start;
+    // shard=0 means one shard per pool thread (perf knob only: any
+    // width plans bit-identically).
+    cc.plan_shards =
+        options.plan_shards == 0
+            ? static_cast<uint32_t>(common::ThreadPool::global().size())
+            : options.plan_shards;
+    cc.probe = options.probe;
+    std::vector<core::ScratchPipeController> controllers;
+    controllers.reserve(model.trace.num_tables);
+    for (size_t t = 0; t < model.trace.num_tables; ++t) {
+        cc.policy_seed = 0x5eed + t;
+        controllers.emplace_back(cc);
+    }
+    return controllers;
+}
+
+ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
+                                     const sim::HardwareConfig &hardware,
+                                     const ScratchPipeOptions &options)
+    : model_(model), latency_(hardware), options_(options)
+{
+    model_.validate();
+    fatalIf(options.gpus == 0, "gpus must be at least 1");
+    fatalIf(options.gpus > 1 && !options.pipelined,
+            "the multi-GPU extension models the pipelined design only");
+    slots_per_table_ = scratchpadSlots(model_, options_);
 }
 
 RunResult
@@ -61,30 +96,17 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const size_t rb_state = rb + model_.optimizerStateBytesPerRow();
     const double n_total = static_cast<double>(trace.idsPerBatch());
     const uint64_t n_per_table = trace.idsPerTable();
+    // Table t lives on GPU t % gpus, so GPU 0 owns the most tables.
+    const size_t gpus = options_.gpus;
+    const size_t tables_per_gpu = (trace.num_tables + gpus - 1) / gpus;
+    const double ids_per_gpu =
+        static_cast<double>(tables_per_gpu * n_per_table);
     using CpuPath = sim::LatencyModel::CpuPath;
 
     // Real controllers (phantom storage) drive hit/miss behaviour.
-    core::ControllerConfig cc;
-    cc.num_slots = slots_per_table_;
-    cc.dim = model_.embedding_dim;
-    cc.past_window = options_.pipelined ? options_.past_window : 0;
-    cc.future_window = options_.pipelined ? options_.future_window : 0;
-    cc.policy = options_.policy;
-    cc.backing = cache::SlotArray::Backing::Phantom;
-    cc.warm_start = options_.warm_start;
-    // shard=0 means one shard per pool thread (perf knob only: any
-    // width plans bit-identically).
-    cc.plan_shards =
-        options_.plan_shards == 0
-            ? static_cast<uint32_t>(common::ThreadPool::global().size())
-            : options_.plan_shards;
-    cc.probe = options_.probe;
-    std::vector<core::ScratchPipeController> controllers;
-    controllers.reserve(trace.num_tables);
-    for (size_t t = 0; t < trace.num_tables; ++t) {
-        cc.policy_seed = 0x5eed + t;
-        controllers.emplace_back(cc);
-    }
+    std::vector<core::ScratchPipeController> controllers =
+        makeScratchpadControllers(model_, options_,
+                                  cache::SlotArray::Backing::Phantom);
 
     // Stage demand accumulators, averaged after the loop.
     const char *stage_names[6] = {"Load",     "Plan",   "Collect",
@@ -96,14 +118,25 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     }
     // Train carries the framework's per-iteration overhead instead of
     // a bare pipeline sync.
-    total[5].overhead = hw.gpu_iteration_overhead;
+    total[5].overhead = gpus > 1 ? hw.multi_gpu_iteration_overhead
+                                 : hw.gpu_iteration_overhead;
 
     uint64_t total_hits = 0, total_ids = 0;
-    const double flops = nn::dlrmIterationFlops(model_.dlrmConfig(), batch);
+    const nn::DlrmConfig dlrm = model_.dlrmConfig();
+    // The MLPs are data-parallel: each GPU trains 1/gpus of the batch
+    // and all-reduces the MLP gradients. Single-GPU runs skip building
+    // the model whose size only that all-reduce needs.
+    const double flops = nn::dlrmIterationFlops(dlrm, batch) / gpus;
+    const double param_bytes =
+        gpus > 1 ? static_cast<double>(
+                       nn::DlrmModel(dlrm, 1).parameterCount()) *
+                       sizeof(float)
+                 : 0.0;
 
     // Tables are independent (one controller each), so their [Plan]
     // stages fan out across the shared pool.
-    PlanFanout fanout(trace.num_tables, cc.future_window);
+    PlanFanout fanout(trace.num_tables,
+                      controllers.front().config().future_window);
 
     // Demand/traffic accounting for one measured batch: a pure
     // reduction over that batch's per-table outcomes into the stage
@@ -112,16 +145,30 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const auto account = [&](uint64_t i,
                              const std::vector<TablePlanOutcome>
                                  &outcomes) {
-        uint64_t fills = 0, evicts = 0;
-        for (const auto &outcome : outcomes) {
-            fills += outcome.fills;
-            evicts += outcome.evicts;
-            total_hits += outcome.hits;
-            total_ids += outcome.ids;
+        // Shared CPU DRAM serves every GPU's fills and write-backs;
+        // each GPU's HBM and PCIe lanes carry only its own tables', so
+        // the peak GPU binds those.
+        uint64_t fills = 0, evicts = 0, peak_fills = 0, peak_evicts = 0;
+        for (size_t g = 0; g < gpus; ++g) {
+            uint64_t gpu_fills = 0, gpu_evicts = 0;
+            for (size_t t = g; t < trace.num_tables; t += gpus) {
+                gpu_fills += outcomes[t].fills;
+                gpu_evicts += outcomes[t].evicts;
+                total_hits += outcomes[t].hits;
+                total_ids += outcomes[t].ids;
+            }
+            fills += gpu_fills;
+            evicts += gpu_evicts;
+            peak_fills = std::max(peak_fills, gpu_fills);
+            peak_evicts = std::max(peak_evicts, gpu_evicts);
         }
 
-        const double fill_bytes = static_cast<double>(fills) * rb_state;
-        const double evict_bytes = static_cast<double>(evicts) * rb_state;
+        const double fill_bytes =
+            static_cast<double>(peak_fills) * rb_state;
+        const double evict_bytes =
+            static_cast<double>(peak_evicts) * rb_state;
+        const double cpu_evict_bytes =
+            static_cast<double>(evicts) * rb_state;
 
         // [Load]: stream the next batch's IDs through host memory.
         {
@@ -130,19 +177,21 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             t.dense_write_bytes = n_total * sizeof(uint64_t);
             total[0].demand += latency_.cpuDemand(t, CpuPath::Runtime);
         }
-        // [Plan]: IDs H2D, Hit-Map probes and mask maintenance on GPU.
+        // [Plan]: IDs H2D, Hit-Map probes and mask maintenance on the
+        // GPU that owns the most tables.
         {
             total[1].demand +=
-                latency_.pcieH2DDemand(n_total * sizeof(uint64_t));
+                latency_.pcieH2DDemand(ids_per_gpu * sizeof(uint64_t));
             emb::Traffic t;
-            t.dense_read_bytes = n_total * 16.0; // hash probes
+            t.dense_read_bytes = ids_per_gpu * 16.0; // hash probes
             t.dense_read_bytes += static_cast<double>(slots_per_table_) *
-                                  trace.num_tables * sizeof(uint16_t);
+                                  tables_per_gpu * sizeof(uint16_t);
             t.dense_write_bytes += static_cast<double>(slots_per_table_) *
-                                   trace.num_tables * sizeof(uint16_t);
+                                   tables_per_gpu * sizeof(uint16_t);
             total[1].demand += latency_.gpuMemDemand(t);
         }
-        // [Collect]: CPU gathers fills; GPU reads victims to staging.
+        // [Collect]: CPU gathers all fills; GPUs read victims to
+        // staging.
         {
             emb::Traffic cpu = emb::gatherTraffic(fills, rb);
             total[2].demand += latency_.cpuDemand(cpu, CpuPath::Runtime);
@@ -151,12 +200,12 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             gpu.dense_write_bytes = evict_bytes;
             total[2].demand += latency_.gpuMemDemand(gpu);
         }
-        // [Exchange]: full-duplex PCIe.
+        // [Exchange]: full-duplex PCIe, one link per GPU.
         {
             total[3].demand += latency_.pcieH2DDemand(fill_bytes);
             total[3].demand += latency_.pcieD2HDemand(evict_bytes);
         }
-        // [Insert]: GPU writes fills into Storage; CPU applies the
+        // [Insert]: GPUs write fills into Storage; CPU applies all
         // write-backs to the embedding tables.
         {
             emb::Traffic gpu;
@@ -164,26 +213,43 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             gpu.sparse_write_bytes = fill_bytes;
             total[4].demand += latency_.gpuMemDemand(gpu);
             emb::Traffic cpu;
-            cpu.dense_read_bytes = evict_bytes;
-            cpu.sparse_write_bytes = evict_bytes;
+            cpu.dense_read_bytes = cpu_evict_bytes;
+            cpu.sparse_write_bytes = cpu_evict_bytes;
             total[4].demand += latency_.cpuDemand(cpu, CpuPath::Runtime);
         }
-        // [Train]: all embedding work at GPU memory speed + the MLPs.
+        // [Train]: the busiest GPU's embedding work at GPU memory
+        // speed + its share of the MLPs and dense inputs, then the
+        // all-to-all of reduced embeddings and the MLP gradient
+        // all-reduce over NVLink (zero bytes on one GPU, and
+        // nvlinkTime(0) is 0).
         {
-            emb::Traffic gpu;
-            for (size_t t = 0; t < trace.num_tables; ++t) {
-                const size_t unique = stats.unique(i, t);
-                gpu += emb::embeddingForwardTraffic(n_per_table, batch, rb);
-                gpu += emb::duplicateTraffic(batch, n_per_table, rb);
-                gpu += emb::coalesceTraffic(n_per_table, unique, rb);
-                // The optimizer update reads/writes state with the row.
-                gpu += emb::scatterTraffic(unique, rb_state);
+            emb::Traffic busiest;
+            for (size_t g = 0; g < gpus; ++g) {
+                emb::Traffic gpu;
+                for (size_t t = g; t < trace.num_tables; t += gpus) {
+                    const size_t unique = stats.unique(i, t);
+                    gpu += emb::embeddingForwardTraffic(n_per_table, batch,
+                                                        rb);
+                    gpu += emb::duplicateTraffic(batch, n_per_table, rb);
+                    gpu += emb::coalesceTraffic(n_per_table, unique, rb);
+                    // The optimizer update reads/writes state with the
+                    // row.
+                    gpu += emb::scatterTraffic(unique, rb_state);
+                }
+                if (latency_.gpuMemTime(gpu) > latency_.gpuMemTime(busiest))
+                    busiest = gpu;
             }
-            total[5].demand += latency_.gpuMemDemand(gpu);
+            total[5].demand += latency_.gpuMemDemand(busiest);
             total[5].demand += latency_.gpuComputeDemand(flops);
             total[5].demand += latency_.pcieH2DDemand(
                 static_cast<double>(batch) * (trace.dense_features + 1) *
-                sizeof(float));
+                sizeof(float) / gpus);
+            const double a2a_bytes = static_cast<double>(batch) *
+                                     tables_per_gpu * rb * (gpus - 1.0) /
+                                     gpus;
+            total[5].demand += latency_.nvlinkDemand(2.0 * a2a_bytes);
+            total[5].demand += latency_.nvlinkDemand(
+                2.0 * param_bytes * (gpus - 1.0) / gpus);
         }
     };
 
@@ -231,7 +297,8 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
         gpu_busy += stage.demand[sim::Resource::GpuHbm] +
                     stage.demand[sim::Resource::GpuCompute] +
                     stage.demand[sim::Resource::PcieH2D] +
-                    stage.demand[sim::Resource::PcieD2H];
+                    stage.demand[sim::Resource::PcieD2H] +
+                    stage.demand[sim::Resource::NvLink];
     }
     result.busy.iteration_seconds = result.seconds_per_iteration;
     result.busy.cpu_busy_seconds = cpu_busy;

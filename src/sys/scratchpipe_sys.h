@@ -18,14 +18,18 @@
  * Pipelined mode retires one iteration per steady-state cycle
  * (sim::solvePipeline); the straw-man executes the same stages
  * sequentially (paper Section IV-B) with windows shrunk to the current
- * batch only.
+ * batch only. ScratchPipeOptions::gpus extends the pipelined design to
+ * table-wise model-parallel multi-GPU training (Section VI-G).
  */
 
 #ifndef SP_SYS_SCRATCHPIPE_SYS_H
 #define SP_SYS_SCRATCHPIPE_SYS_H
 
+#include <vector>
+
 #include "cache/probe_kernel.h"
 #include "cache/replacement.h"
+#include "core/controller.h"
 #include "data/dataset.h"
 #include "sim/latency_model.h"
 #include "sim/pipeline_solver.h"
@@ -87,7 +91,47 @@ struct ScratchPipeOptions
      * Spec key: probe=auto|scalar|native.
      */
     cache::ProbeMode probe = cache::ProbeMode::Auto;
+    /**
+     * GPUs the tables are split across (paper Section VI-G; pipelined
+     * only). Table t lives on GPU t % gpus and keeps its own cache
+     * manager, so table-wise parallelism adds no inter-GPU hazard;
+     * only the resource charging changes:
+     *  - CPU DRAM serves every GPU's [Collect]/[Insert] traffic
+     *    (shared);
+     *  - each GPU has its own HBM, PCIe lanes and SMs, so the busiest
+     *    GPU binds the GPU-side stages, and the dense inputs and the
+     *    data-parallel MLPs split 1/gpus per GPU;
+     *  - [Train] adds the all-to-all of reduced embeddings and the
+     *    MLP gradient all-reduce over NVLink, and carries the
+     *    distributed framework overhead of the plain multi-GPU system.
+     * The paper predicts the extension is *viable but not
+     * cost-effective* -- the DNNs were never the bottleneck, so the
+     * extra GPUs mostly idle; this model makes that quantitative. Not
+     * a spec key.
+     */
+    uint32_t gpus = 1;
 };
+
+/**
+ * The scratchpad sizing rule shared by the timing model and the
+ * functional trainer: `cache_fraction` (which must lie in (0, 1]; NaN
+ * is rejected) of each table's rows, at least one slot, grown to the
+ * §VI-D worst-case window working set under `enforce_capacity_bound`,
+ * and never more than the table has rows. The straw-man
+ * (`pipelined == false`) plans with both windows at zero.
+ */
+uint32_t scratchpadSlots(const ModelConfig &model,
+                         const ScratchPipeOptions &options);
+
+/**
+ * One controller per table of `model`, scratchpadSlots() slots each,
+ * table t seeded 0x5eed + t. `plan_shards == 0` resolves to one shard
+ * per pool thread. `overlap_planning` and `gpus` are the caller's.
+ */
+std::vector<core::ScratchPipeController>
+makeScratchpadControllers(const ModelConfig &model,
+                          const ScratchPipeOptions &options,
+                          cache::SlotArray::Backing backing);
 
 /** Timing model of ScratchPipe / straw-man. */
 class ScratchPipeSystem : public System
@@ -109,6 +153,8 @@ class ScratchPipeSystem : public System
 
     std::string name() const override
     {
+        if (options_.gpus > 1)
+            return "ScratchPipe multi-GPU";
         return options_.pipelined ? "ScratchPipe" : "Straw-man";
     }
     std::string description() const override

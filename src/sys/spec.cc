@@ -1,13 +1,12 @@
 #include "sys/spec.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/spec_number.h"
 #include "sys/registry.h"
 
 namespace sp::sys
@@ -19,11 +18,7 @@ namespace
 double
 parseDouble(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    fatalIf(end == nullptr || *end != '\0' || value.empty(),
-            "system spec: bad number '", value, "' for key '", key, "'");
-    return parsed;
+    return common::parseSpecDouble("system spec", key, value);
 }
 
 uint32_t
@@ -47,17 +42,6 @@ parseBool(const std::string &key, const std::string &value)
     if (value == "0" || value == "false" || value == "no")
         return false;
     fatal("system spec: '", key, "' expects 0/1, got '", value, "'");
-}
-
-/** Shortest representation that round-trips through parse(). */
-std::string
-shortDouble(double value)
-{
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    return ec == std::errc() ? std::string(buffer, end)
-                             : std::to_string(value);
 }
 
 } // namespace
@@ -123,11 +107,9 @@ SystemSpec::parse(const std::string &text)
             spec.serve.arrival.rate = parseDouble(key, value);
             // Diagnosed here, not at build time: rate=0 would divide
             // every Poisson inter-arrival gap by zero.
-            fatalIf(!(spec.serve.arrival.rate > 0.0) ||
-                        !std::isfinite(spec.serve.arrival.rate),
-                    "system spec: 'rate' must be a positive, finite "
-                    "request rate (requests/second), got '", value,
-                    "'");
+            fatalIf(spec.serve.arrival.rate <= 0.0,
+                    "system spec: 'rate' must be a positive request "
+                    "rate (requests/second), got '", value, "'");
             spec.serve_tuned = true;
         } else if (key == "batch_max") {
             spec.serve.batch_max = parseWindow(key, value);
@@ -186,7 +168,7 @@ SystemSpec::summary() const
     };
     if (cache_fraction.has_value()) {
         // Shortest round-trip representation ("0.02", not "0.020000").
-        emit("cache", shortDouble(*cache_fraction));
+        emit("cache", common::shortestDouble(*cache_fraction));
     }
     if (scratchpipe_tuned) {
         emit("policy", cache::policyName(scratchpipe.policy));
@@ -200,15 +182,16 @@ SystemSpec::summary() const
     }
     if (serve_tuned) {
         emit("arrival", data::arrivalKindName(serve.arrival.kind));
-        emit("rate", shortDouble(serve.arrival.rate));
+        emit("rate", common::shortestDouble(serve.arrival.rate));
         emit("batch_max", std::to_string(serve.batch_max));
-        emit("budget_us", shortDouble(serve.budget_us));
+        emit("budget_us", common::shortestDouble(serve.budget_us));
         emit("refresh", serve.dynamic_refresh
                             ? cache::policyName(serve.policy)
                             : "static");
-        emit("burst_x", shortDouble(serve.arrival.burst_x));
-        emit("burst_on_us", shortDouble(serve.arrival.burst_on_us));
-        emit("burst_off_us", shortDouble(serve.arrival.burst_off_us));
+        emit("burst_x", common::shortestDouble(serve.arrival.burst_x));
+        emit("burst_on_us", common::shortestDouble(serve.arrival.burst_on_us));
+        emit("burst_off_us",
+             common::shortestDouble(serve.arrival.burst_off_us));
     }
     return os.str();
 }

@@ -110,6 +110,9 @@ TEST(WorkloadSpec, MalformedSpecsDieLoudly)
     EXPECT_THROW(WorkloadSpec::parse("drift_amp=abc"), FatalError);
     EXPECT_THROW(WorkloadSpec::parse("churn_k=-3"), FatalError);
     EXPECT_THROW(WorkloadSpec::parse("churn_k=2.5"), FatalError);
+    EXPECT_THROW(WorkloadSpec::parse("drift_amp=0x1p-2"), FatalError);
+    EXPECT_THROW(WorkloadSpec::parse("drift_amp= 0.2"), FatalError);
+    EXPECT_THROW(WorkloadSpec::parse("burst_frac=nan"), FatalError);
     EXPECT_THROW(WorkloadSpec::parse("replay="), FatalError);
     // Replay and shaping are mutually exclusive: the recorded file
     // already fixes its workload.

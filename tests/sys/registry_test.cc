@@ -171,6 +171,13 @@ TEST(SystemSpec, RejectsMalformedInput)
     EXPECT_THROW(SystemSpec::parse("scratchpipe:nope=1"), FatalError);
     EXPECT_THROW(SystemSpec::parse("scratchpipe:policy=mru"),
                  FatalError);
+    // One number grammar for every key: no blanks on either side, no
+    // hex, nothing non-finite.
+    for (const char *text :
+         {"static:cache=0x1p-3", "static:cache= 0.1", "static:cache=0.1 ",
+          "scratchpipe:past=0x3", "serve:burst_x=nan",
+          "serve:budget_us=inf"})
+        EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
 }
 
 TEST(SystemSpec, RejectsDuplicateKeysInsteadOfLastWin)

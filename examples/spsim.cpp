@@ -79,9 +79,14 @@ splitSpecs(const std::string &text)
 void
 listSystems()
 {
-    metrics::TablePrinter table({"system", "description"});
-    for (const auto &name : sys::Registry::names())
-        table.addRow({name, sys::Registry::entry(name).description});
+    metrics::TablePrinter table({"system", "description", "keys"});
+    for (const auto &name : sys::Registry::names()) {
+        const sys::Registry::Entry &entry = sys::Registry::entry(name);
+        std::string keys;
+        for (const std::string &key : sys::SystemSpec::keys(entry.options))
+            keys += (keys.empty() ? "" : ",") + key;
+        table.addRow({name, entry.description, keys.empty() ? "-" : keys});
+    }
     table.print(std::cout);
 }
 

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/spec_number.h"
+
 namespace sp::common::fault
 {
 
@@ -98,38 +100,6 @@ knownSiteList()
     return out;
 }
 
-uint64_t
-parseU64(const std::string &key, const std::string &text)
-{
-    size_t used = 0;
-    uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    fatalIf(used == 0 || used != text.size() || text[0] == '-',
-            "SP_FAULTS: bad value '", text, "' for key '", key,
-            "' (want a non-negative integer)");
-    return value;
-}
-
-double
-parseProbability(const std::string &text)
-{
-    size_t used = 0;
-    double value = -1;
-    try {
-        value = std::stod(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    fatalIf(used == 0 || used != text.size() || value < 0 || value > 1,
-            "SP_FAULTS: bad probability '", text,
-            "' (want a number in [0, 1])");
-    return value;
-}
-
 Schedule
 parseEntry(const std::string &entry)
 {
@@ -140,41 +110,27 @@ parseEntry(const std::string &entry)
             entry, "'");
     fatalIf(!knownSite(schedule.site), "SP_FAULTS: unknown site '",
             schedule.site, "'; known sites: ", knownSiteList());
+    if (colon == std::string::npos)
+        return schedule;
 
-    bool has_every = false;
-    bool has_p = false;
-    if (colon != std::string::npos) {
-        std::istringstream rest(entry.substr(colon + 1));
-        std::string pair;
-        while (std::getline(rest, pair, ',')) {
-            pair = trim(pair);
-            const size_t eq = pair.find('=');
-            fatalIf(eq == std::string::npos,
-                    "SP_FAULTS: expected key=value, got '", pair,
-                    "' in '", entry, "'");
-            const std::string key = trim(pair.substr(0, eq));
-            const std::string value = trim(pair.substr(eq + 1));
-            if (key == "after") {
-                schedule.after = parseU64(key, value);
-            } else if (key == "every") {
-                schedule.every = parseU64(key, value);
-                fatalIf(schedule.every == 0,
-                        "SP_FAULTS: every=0 is meaningless (omit the "
-                        "key to fire once)");
-                has_every = true;
-            } else if (key == "p") {
-                schedule.probability = parseProbability(value);
-                has_p = true;
-            } else if (key == "seed") {
-                schedule.seed = parseU64(key, value);
-            } else {
-                fatal("SP_FAULTS: unknown key '", key, "' in '", entry,
-                      "' (known: after, every, p, seed)");
-            }
-        }
-    }
-    fatalIf(has_every && has_p, "SP_FAULTS: 'every' and 'p' are "
-            "mutually exclusive in '", entry, "'");
+    const std::vector<Option> rows = {
+        {"after", schedule.after},
+        {"every", schedule.every},
+        {"p", schedule.probability},
+        {"seed", schedule.seed},
+    };
+    const std::set<std::string> given =
+        parseOptions("SP_FAULTS", entry.substr(colon + 1), rows);
+    fatalIf(given.contains("every") && schedule.every == 0,
+            "SP_FAULTS: every=0 is meaningless (omit the key to fire "
+            "once)");
+    fatalIf(given.contains("p") && !(schedule.probability >= 0.0 &&
+                                     schedule.probability <= 1.0),
+            "SP_FAULTS: bad probability ", schedule.probability,
+            " (want a number in [0, 1])");
+    fatalIf(given.contains("every") && given.contains("p"),
+            "SP_FAULTS: 'every' and 'p' are mutually exclusive in '",
+            entry, "'");
     return schedule;
 }
 

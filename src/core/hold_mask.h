@@ -50,9 +50,11 @@ class HoldMask
     uint32_t numSlots() const { return num_slots_; }
     uint32_t pastWindow() const { return past_window_; }
     uint32_t futureWindow() const { return future_window_; }
-    uint32_t widthBits() const
+    /** Window width in bits, summed in 64 bits so huge windows cannot
+     *  wrap past the 16-bit storage check. */
+    uint64_t widthBits() const
     {
-        return past_window_ + 1 + future_window_;
+        return uint64_t{past_window_} + 1 + future_window_;
     }
 
     /** Slide the window one plan forward (shift every mask). */

@@ -1,7 +1,6 @@
 #include "data/workload.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -29,18 +28,6 @@ mix64(uint64_t x)
     x *= 0xc4ceb9fe1a85ec53ull;
     x ^= x >> 33;
     return x;
-}
-
-uint64_t
-parseSpecCount(const std::string &key, const std::string &value)
-{
-    uint64_t parsed = 0;
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), parsed);
-    fatalIf(ec != std::errc() || ptr != value.data() + value.size(),
-            "workload spec: '", key,
-            "' must be a non-negative integer, got '", value, "'");
-    return parsed;
 }
 
 /** Triangle wave in [-1, 1] with half-period `period` batches. */
@@ -132,67 +119,22 @@ WorkloadSpec
 WorkloadSpec::parse(const std::string &text)
 {
     WorkloadSpec spec;
-    if (text.empty())
-        return spec;
-
-    std::vector<std::string> seen;
-    std::stringstream options(text);
-    std::string item;
-    bool shaped = false;
-    while (std::getline(options, item, ',')) {
-        const size_t eq = item.find('=');
-        fatalIf(eq == std::string::npos,
-                "workload spec: expected key=value, got '", item,
-                "' in '", text, "'");
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        // Duplicates previously last-won silently; an option set with
-        // two values for one knob is a typo, never an intent.
-        fatalIf(std::find(seen.begin(), seen.end(), key) != seen.end(),
-                "workload spec: duplicate key '", key, "' in '", text,
-                "'");
-        seen.push_back(key);
-        if (key == "drift_amp") {
-            spec.config.drift_amp =
-                common::parseSpecDouble("workload spec", key, value);
-            shaped = true;
-        } else if (key == "drift_period") {
-            spec.config.drift_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "churn_k") {
-            spec.config.churn_k = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "churn_period") {
-            spec.config.churn_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_frac") {
-            spec.config.burst_frac =
-                common::parseSpecDouble("workload spec", key, value);
-            shaped = true;
-        } else if (key == "burst_period") {
-            spec.config.burst_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_len") {
-            spec.config.burst_len = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_ranks") {
-            spec.config.burst_ranks = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "phase") {
-            spec.config.phase = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "replay") {
-            fatalIf(value.empty(),
-                    "workload spec: replay needs a file path");
-            spec.replay_path = value;
-        } else {
-            fatal("workload spec: unknown key '", key, "' in '", text,
-                  "' (drift_amp/drift_period/churn_k/churn_period/"
-                  "burst_frac/burst_period/burst_len/burst_ranks/"
-                  "phase/replay)");
-        }
-    }
-    fatalIf(!spec.replay_path.empty() && shaped,
+    WorkloadConfig &config = spec.config;
+    const std::vector<common::Option> rows = {
+        {"drift_amp", config.drift_amp},
+        {"drift_period", config.drift_period},
+        {"churn_k", config.churn_k},
+        {"churn_period", config.churn_period},
+        {"burst_frac", config.burst_frac},
+        {"burst_period", config.burst_period},
+        {"burst_len", config.burst_len},
+        {"burst_ranks", config.burst_ranks},
+        {"phase", config.phase},
+        {"replay", spec.replay_path},
+    };
+    const size_t given =
+        common::parseOptions("workload spec", text, rows).size();
+    fatalIf(!spec.replay_path.empty() && given > 1,
             "workload spec: replay=", spec.replay_path,
             " cannot be combined with shaping keys -- the recorded "
             "trace already fixes its workload");

@@ -106,10 +106,9 @@ struct WorkloadSpec
     std::string replay_path;
 
     /**
-     * Parse "key=value[,key=value...]". Keys: drift_amp, drift_period,
-     * churn_k, churn_period, burst_frac, burst_period, burst_len,
-     * burst_ranks, phase, replay. Duplicate keys and unknown keys are
-     * fatal() with a diagnostic naming the offender; "" parses to the
+     * Parse "key=value[,key=value...]": one key per WorkloadConfig
+     * knob, plus replay. Duplicate keys and unknown keys are fatal()
+     * with a diagnostic naming the offender; "" parses to the
      * stationary spec.
      */
     static WorkloadSpec parse(const std::string &text);

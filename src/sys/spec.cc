@@ -1,10 +1,5 @@
 #include "sys/spec.h"
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
-#include <vector>
-
 #include "common/logging.h"
 #include "common/spec_number.h"
 #include "sys/registry.h"
@@ -15,34 +10,73 @@ namespace sp::sys
 namespace
 {
 
-double
-parseDouble(const std::string &key, const std::string &value)
+/** The system grammar: each key, the field it sets and its option
+ *  set, in summary order. */
+std::vector<common::Option>
+optionTable(SystemSpec &spec)
 {
-    return common::parseSpecDouble("system spec", key, value);
+    constexpr auto kCache = static_cast<unsigned>(OptionSet::Cache);
+    constexpr auto kPad = static_cast<unsigned>(OptionSet::Scratchpad);
+    constexpr auto kServe = static_cast<unsigned>(OptionSet::Serve);
+    ScratchPipeOptions &pad = spec.scratchpipe;
+    ServeOptions &serve = spec.serve;
+    data::ArrivalConfig &arrival = spec.serve.arrival;
+    const common::OptionValue::Custom refresh = {
+        [&serve](const std::string &value) {
+            serve.dynamic_refresh = value != "static";
+            if (serve.dynamic_refresh)
+                serve.policy = cache::policyFromName(value);
+        },
+        [&serve] {
+            return std::string(serve.dynamic_refresh
+                                   ? cache::policyName(serve.policy)
+                                   : "static");
+        }};
+    return {
+        {"cache", spec.cache_fraction, kCache},
+        {"policy",
+         common::named(pad.policy, cache::policyFromName,
+                       cache::policyName),
+         kPad},
+        {"past", pad.past_window, kPad},
+        {"future", pad.future_window, kPad},
+        {"warm", pad.warm_start, kPad},
+        {"bound", pad.enforce_capacity_bound, kPad},
+        {"overlap", pad.overlap_planning, kPad},
+        {"shard", pad.plan_shards, kPad},
+        {"probe",
+         common::named(pad.probe, cache::probeModeFromName,
+                       cache::probeModeName),
+         kPad},
+        {"arrival",
+         common::named(arrival.kind, data::arrivalKindFromName,
+                       data::arrivalKindName),
+         kServe},
+        {"rate", arrival.rate, kServe},
+        {"batch_max", serve.batch_max, kServe},
+        {"budget_us", serve.budget_us, kServe},
+        {"refresh", refresh, kServe},
+        {"burst_x", arrival.burst_x, kServe},
+        {"burst_on_us", arrival.burst_on_us, kServe},
+        {"burst_off_us", arrival.burst_off_us, kServe},
+    };
 }
 
-uint32_t
-parseWindow(const std::string &key, const std::string &value)
-{
-    const double parsed = parseDouble(key, value);
-    // Bounds-check before the cast: double -> uint32_t is UB outside
-    // [0, 2^32).
-    fatalIf(!(parsed >= 0.0 && parsed <= 4294967295.0) ||
-                parsed != std::floor(parsed),
-            "system spec: '", key, "' must be a small non-negative "
-            "integer, got '", value, "'");
-    return static_cast<uint32_t>(parsed);
-}
-
+/** Is a key of `set` given? C++ callers set cache_fraction
+ *  directly, so it is the record for the cache set. */
 bool
-parseBool(const std::string &key, const std::string &value)
+isGiven(const SystemSpec &spec, OptionSet set)
 {
-    if (value == "1" || value == "true" || value == "yes")
-        return true;
-    if (value == "0" || value == "false" || value == "no")
-        return false;
-    fatal("system spec: '", key, "' expects 0/1, got '", value, "'");
+    return set == OptionSet::Cache ? spec.cache_fraction.has_value()
+                                   : spec.given.contains(set);
 }
+
+/** How validate() names a system that lacks each option set. */
+constexpr std::pair<OptionSet, const char *> kLacks[] = {
+    {OptionSet::Cache, "has no GPU cache"},
+    {OptionSet::Scratchpad, "has no scratchpad"},
+    {OptionSet::Serve, "does not serve requests"},
+};
 
 } // namespace
 
@@ -57,93 +91,19 @@ SystemSpec::parse(const std::string &text)
     if (colon == std::string::npos)
         return spec;
 
-    std::stringstream options(text.substr(colon + 1));
-    std::string item;
-    std::vector<std::string> seen;
-    while (std::getline(options, item, ',')) {
-        const size_t eq = item.find('=');
-        fatalIf(eq == std::string::npos,
-                "system spec: expected key=value, got '", item, "' in '",
-                text, "'");
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        // Reject duplicates instead of letting the last one win: a
-        // typo like policy=lfu,policy=lru would otherwise silently
-        // simulate a different system than the one on the screen.
-        fatalIf(std::find(seen.begin(), seen.end(), key) != seen.end(),
-                "system spec: duplicate key '", key, "' in '", text,
-                "' (each option may appear once)");
-        seen.push_back(key);
-        if (key == "cache") {
-            spec.cache_fraction = parseDouble(key, value);
-        } else if (key == "policy") {
-            spec.scratchpipe.policy = cache::policyFromName(value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "past") {
-            spec.scratchpipe.past_window = parseWindow(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "future") {
-            spec.scratchpipe.future_window = parseWindow(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "warm") {
-            spec.scratchpipe.warm_start = parseBool(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "bound") {
-            spec.scratchpipe.enforce_capacity_bound = parseBool(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "overlap") {
-            spec.scratchpipe.overlap_planning = parseBool(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "shard") {
-            spec.scratchpipe.plan_shards = parseWindow(key, value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "probe") {
-            spec.scratchpipe.probe = cache::probeModeFromName(value);
-            spec.scratchpipe_tuned = true;
-        } else if (key == "arrival") {
-            spec.serve.arrival.kind = data::arrivalKindFromName(value);
-            spec.serve_tuned = true;
-        } else if (key == "rate") {
-            spec.serve.arrival.rate = parseDouble(key, value);
-            // Diagnosed here, not at build time: rate=0 would divide
-            // every Poisson inter-arrival gap by zero.
-            fatalIf(spec.serve.arrival.rate <= 0.0,
-                    "system spec: 'rate' must be a positive request "
-                    "rate (requests/second), got '", value, "'");
-            spec.serve_tuned = true;
-        } else if (key == "batch_max") {
-            spec.serve.batch_max = parseWindow(key, value);
-            fatalIf(spec.serve.batch_max == 0,
-                    "system spec: 'batch_max' must be at least 1");
-            spec.serve_tuned = true;
-        } else if (key == "budget_us") {
-            spec.serve.budget_us = parseDouble(key, value);
-            spec.serve_tuned = true;
-        } else if (key == "refresh") {
-            if (value == "static") {
-                spec.serve.dynamic_refresh = false;
-            } else {
-                spec.serve.dynamic_refresh = true;
-                spec.serve.policy = cache::policyFromName(value);
-            }
-            spec.serve_tuned = true;
-        } else if (key == "burst_x") {
-            spec.serve.arrival.burst_x = parseDouble(key, value);
-            spec.serve_tuned = true;
-        } else if (key == "burst_on_us") {
-            spec.serve.arrival.burst_on_us = parseDouble(key, value);
-            spec.serve_tuned = true;
-        } else if (key == "burst_off_us") {
-            spec.serve.arrival.burst_off_us = parseDouble(key, value);
-            spec.serve_tuned = true;
-        } else {
-            fatal("system spec: unknown key '", key, "' in '", text,
-                  "' (cache/policy/past/future/warm/bound/overlap/"
-                  "shard/probe or serving keys arrival/rate/batch_max/"
-                  "budget_us/refresh/burst_x/burst_on_us/"
-                  "burst_off_us)");
-        }
-    }
+    const std::vector<common::Option> rows = optionTable(spec);
+    const std::set<std::string> keys =
+        common::parseOptions("system spec", text.substr(colon + 1), rows);
+    for (const common::Option &row : rows)
+        if (keys.contains(row.key))
+            spec.given.insert(static_cast<OptionSet>(row.group));
+    // Diagnosed here, not at build time: rate=0 would divide every
+    // Poisson inter-arrival gap by zero.
+    fatalIf(spec.serve.arrival.rate <= 0.0,
+            "system spec: 'rate' must be a positive request rate "
+            "(requests/second), got ", spec.serve.arrival.rate);
+    fatalIf(spec.serve.batch_max == 0,
+            "system spec: 'batch_max' must be at least 1");
     return spec;
 }
 
@@ -159,65 +119,40 @@ SystemSpec::withCache(const std::string &name, double fraction)
 std::string
 SystemSpec::summary() const
 {
-    std::ostringstream os;
-    os << name;
+    SystemSpec fields = *this; // the table binds mutable fields
+    std::string text = name;
     char separator = ':';
-    const auto emit = [&](const std::string &key, const std::string &v) {
-        os << separator << key << '=' << v;
+    for (const common::Option &row : optionTable(fields)) {
+        if (!isGiven(*this, static_cast<OptionSet>(row.group)))
+            continue;
+        text += separator + std::string(row.key) + '=' +
+                row.value.print();
         separator = ',';
-    };
-    if (cache_fraction.has_value()) {
-        // Shortest round-trip representation ("0.02", not "0.020000").
-        emit("cache", common::shortestDouble(*cache_fraction));
     }
-    if (scratchpipe_tuned) {
-        emit("policy", cache::policyName(scratchpipe.policy));
-        emit("past", std::to_string(scratchpipe.past_window));
-        emit("future", std::to_string(scratchpipe.future_window));
-        emit("warm", scratchpipe.warm_start ? "1" : "0");
-        emit("bound", scratchpipe.enforce_capacity_bound ? "1" : "0");
-        emit("overlap", scratchpipe.overlap_planning ? "1" : "0");
-        emit("shard", std::to_string(scratchpipe.plan_shards));
-        emit("probe", cache::probeModeName(scratchpipe.probe));
-    }
-    if (serve_tuned) {
-        emit("arrival", data::arrivalKindName(serve.arrival.kind));
-        emit("rate", common::shortestDouble(serve.arrival.rate));
-        emit("batch_max", std::to_string(serve.batch_max));
-        emit("budget_us", common::shortestDouble(serve.budget_us));
-        emit("refresh", serve.dynamic_refresh
-                            ? cache::policyName(serve.policy)
-                            : "static");
-        emit("burst_x", common::shortestDouble(serve.arrival.burst_x));
-        emit("burst_on_us", common::shortestDouble(serve.arrival.burst_on_us));
-        emit("burst_off_us",
-             common::shortestDouble(serve.arrival.burst_off_us));
-    }
-    return os.str();
+    return text;
 }
 
 void
 SystemSpec::validate() const
 {
     const Registry::Entry &entry = Registry::entry(name);
+    for (const auto &[set, lacks] : kLacks) {
+        if (!isGiven(*this, set) || entry.options.contains(set))
+            continue;
+        const std::vector<std::string> set_keys = keys({set});
+        std::string list;
+        for (const std::string &key : set_keys)
+            list += (list.empty() ? "" : "/") + key;
+        fatal("system '", name, "' ", lacks, "; ", list,
+              set_keys.size() == 1 ? " does" : " do", " not apply");
+    }
     if (cache_fraction.has_value()) {
-        fatalIf(!entry.uses_cache_fraction, "system '", name,
-                "' has no GPU cache; remove cache=", *cache_fraction,
-                " (it was silently ignored by the legacy factory)");
         // Written as !(in range) so NaN is rejected too.
         fatalIf(!(*cache_fraction > 0.0 && *cache_fraction <= 1.0),
                 "cache fraction must be in (0, 1], got ",
                 *cache_fraction);
     }
-    fatalIf(scratchpipe_tuned && !entry.uses_scratchpipe_options,
-            "system '", name, "' has no scratchpad; "
-            "policy/past/future/warm/bound/overlap/shard/probe do not "
-            "apply");
-    fatalIf(serve_tuned && !entry.uses_serve_options,
-            "system '", name, "' does not serve requests; "
-            "arrival/rate/batch_max/budget_us/refresh/burst_x/"
-            "burst_on_us/burst_off_us do not apply");
-    if (entry.uses_serve_options) {
+    if (entry.options.contains(OptionSet::Serve)) {
         const std::string problem = serveOptions().validationError();
         fatalIf(!problem.empty(), "system '", name, "': ", problem);
     }
@@ -240,6 +175,17 @@ SystemSpec::serveOptions() const
     if (cache_fraction.has_value())
         options.cache_fraction = *cache_fraction;
     return options;
+}
+
+std::vector<std::string>
+SystemSpec::keys(const std::set<OptionSet> &sets)
+{
+    SystemSpec fields;
+    std::vector<std::string> keys;
+    for (const common::Option &row : optionTable(fields))
+        if (sets.contains(static_cast<OptionSet>(row.group)))
+            keys.push_back(row.key);
+    return keys;
 }
 
 } // namespace sp::sys

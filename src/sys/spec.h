@@ -25,24 +25,36 @@
  *                                      two-tier cache; see
  *                                      sys/serving.h)
  *
- * validate() is registry-aware: setting `cache=` on a system that has
- * no cache (hybrid, multigpu) is a hard error, not a silent no-op --
- * the exact footgun the positional factory shipped with. Serving keys
- * on a training system (and vice versa for scratchpad keys on serve)
- * are rejected the same way.
+ * Each key belongs to one option set (cache=, the scratchpad keys, the
+ * serving keys), and each registered system lists the sets it takes;
+ * `spsim --list-systems` prints every system's keys from the table in
+ * spec.cc. validate() is registry-aware: setting `cache=` on a system
+ * that has no cache (hybrid, multigpu) is a hard error, not a silent
+ * no-op -- the exact footgun the positional factory shipped with --
+ * and so is any other key of a set the system does not take.
  */
 
 #ifndef SP_SYS_SPEC_H
 #define SP_SYS_SPEC_H
 
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "sys/scratchpipe_sys.h"
 #include "sys/serving.h"
 
 namespace sp::sys
 {
+
+/** The groups of spec keys; a system takes some of them. */
+enum class OptionSet : unsigned
+{
+    Cache,      //!< the cache/scratchpad capacity fraction
+    Scratchpad, //!< scratchpad tunables (strawman, scratchpipe)
+    Serve,      //!< online serving tunables (serve)
+};
 
 /** Parsed, validated description of one system to build and run. */
 struct SystemSpec
@@ -61,27 +73,19 @@ struct SystemSpec
      *  inside is superseded by the field above when that is set. */
     ScratchPipeOptions scratchpipe;
 
-    /** True when any scratchpad-only key (policy/past/future/warm/
-     *  bound/overlap/shard/probe) was explicitly given; lets
-     *  validate() reject them on systems that have no scratchpad. */
-    bool scratchpipe_tuned = false;
-
     /** Serving tunables for the serve system family. `cache_fraction`
      *  inside is superseded by the field above when that is set. */
     ServeOptions serve;
 
-    /** True when any serving-only key (arrival/rate/batch_max/
-     *  budget_us/refresh/burst_x/burst_on_us/burst_off_us) was
-     *  explicitly given; lets validate() reject them on systems that
-     *  do not serve requests. */
-    bool serve_tuned = false;
+    /** The option sets parse() saw a key of. summary() prints every
+     *  key of a given set, and validate() rejects a given set the
+     *  system does not take; `cache=` counts as given whenever
+     *  cache_fraction is set. */
+    std::set<OptionSet> given;
 
     /**
-     * Parse "name[:key=value,...]". Keys: cache, policy, past, future,
-     * warm, bound, overlap, shard, probe, and the serving keys
-     * arrival, rate, batch_max, budget_us, refresh, burst_x,
-     * burst_on_us, burst_off_us. fatal() on unknown keys or malformed
-     * values; the system name itself is checked by
+     * Parse "name[:key=value,...]". fatal() on unknown keys or
+     * malformed values; the system name itself is checked by
      * validate()/Registry::build.
      */
     static SystemSpec parse(const std::string &text);
@@ -93,9 +97,9 @@ struct SystemSpec
     std::string summary() const;
 
     /**
-     * Registry-aware validation: the name must be registered, cache
-     * and scratchpad keys must be meaningful for that system, and a
-     * set cache fraction must lie in (0, 1]. fatal() with an
+     * Registry-aware validation: the name must be registered, the
+     * system must take every given option set, and a set cache
+     * fraction must lie in (0, 1]. fatal() with an
      * actionable message (including nearest-name suggestions for
      * typos) otherwise.
      */
@@ -112,6 +116,9 @@ struct SystemSpec
 
     /** ServeOptions with the spec's cache fraction folded in. */
     ServeOptions serveOptions() const;
+
+    /** Every key of the option sets `sets`, in summary order. */
+    static std::vector<std::string> keys(const std::set<OptionSet> &sets);
 };
 
 } // namespace sp::sys

@@ -162,9 +162,7 @@ registerStaticCacheSystem(Registry &registry)
 {
     registry.addEntry(
         {"static", StaticCacheSystem::kDescription,
-         /*uses_cache_fraction=*/true,
-         /*uses_scratchpipe_options=*/false,
-         /*uses_serve_options=*/false,
+         {OptionSet::Cache},
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &spec) -> std::unique_ptr<System> {
              return std::make_unique<StaticCacheSystem>(

@@ -107,6 +107,13 @@ TEST(FaultInjection, MalformedSpecsDieLoudly)
     EXPECT_THROW(configure("trace_store.load:every=2,p=0.5"),
                  FatalError);
     EXPECT_THROW(configure("trace_store.load:bogus=1"), FatalError);
+    // The shared option grammar: finite decimals and digit-only
+    // integers, no blanks inside key=value, each key once.
+    for (const char *spec :
+         {"trace_store.load:p=nan", "trace_store.load:p=0x1p-1",
+          "trace_store.load:after=+0", "trace_store.load:after= 0",
+          "trace_store.load:after=0,after=5"})
+        EXPECT_THROW(configure(spec), FatalError) << spec;
     // The unknown-site message must list the registry (typo rescue).
     try {
         configure("no.such.site");

@@ -19,6 +19,16 @@ TEST(HoldMask, Geometry)
     EXPECT_EQ(mask.widthBits(), 6u); // the paper's 6-wide window
 }
 
+TEST(HoldMask, HugeWindowsCannotWrapPastTheWidthCheck)
+{
+    // past + 1 + future wraps to 2 and 0 bits in 32-bit arithmetic;
+    // both must still be refused before any mark shifts by past.
+    EXPECT_THROW(HoldMask(8, 4294967295u, 2), FatalError);
+    EXPECT_THROW(HoldMask(8, 4294967294u, 1), FatalError);
+    EXPECT_THROW(HoldMask(8, 12, 4), FatalError); // 17 bits
+    EXPECT_EQ(HoldMask(8, 12, 3).widthBits(), 16u);
+}
+
 TEST(HoldMask, InitiallyNothingHeld)
 {
     HoldMask mask(8, 3, 2);

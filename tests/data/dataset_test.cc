@@ -8,6 +8,8 @@
 #include <limits>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/logging.h"
 #include "data/dataset.h"
 #include "data/trace_view.h"
@@ -30,10 +32,19 @@ smallConfig()
     return config;
 }
 
+/** A trace file private to the running test: ctest runs every case
+ *  as its own process, so a shared name would race under -j. */
 class TempFile
 {
   public:
-    TempFile() : path_(::testing::TempDir() + "/sp_trace_test.bin") {}
+    TempFile()
+        : path_(::testing::TempDir() + "/sp_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin")
+    {
+    }
     ~TempFile() { std::remove(path_.c_str()); }
     const std::string &path() const { return path_; }
 

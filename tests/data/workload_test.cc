@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/hit_map.h"
 #include "common/logging.h"
 #include "common/status.h"
@@ -346,8 +348,14 @@ class ReplayTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // Private to the running test: ctest runs every case as its
+        // own process, so a shared name would race under -j.
         path_ = (fs::path(::testing::TempDir()) /
-                 "sp_workload_replay.trace")
+                 ("sp_workload_replay_" +
+                  std::string(::testing::UnitTest::GetInstance()
+                                  ->current_test_info()
+                                  ->name()) +
+                  "_" + std::to_string(::getpid()) + ".trace"))
                     .string();
         fs::remove(path_);
     }

@@ -125,7 +125,7 @@ TEST(SystemSpec, ParsesBareName)
     const SystemSpec spec = SystemSpec::parse("hybrid");
     EXPECT_EQ(spec.name, "hybrid");
     EXPECT_FALSE(spec.cache_fraction.has_value());
-    EXPECT_FALSE(spec.scratchpipe_tuned);
+    EXPECT_TRUE(spec.given.empty());
 }
 
 TEST(SystemSpec, ParsesEveryKey)
@@ -141,7 +141,7 @@ TEST(SystemSpec, ParsesEveryKey)
     EXPECT_EQ(spec.scratchpipe.future_window, 3u);
     EXPECT_FALSE(spec.scratchpipe.warm_start);
     EXPECT_FALSE(spec.scratchpipe.enforce_capacity_bound);
-    EXPECT_TRUE(spec.scratchpipe_tuned);
+    EXPECT_TRUE(spec.given.contains(OptionSet::Scratchpad));
 }
 
 TEST(SystemSpec, SummaryRoundTrips)
@@ -177,6 +177,10 @@ TEST(SystemSpec, RejectsMalformedInput)
          {"static:cache=0x1p-3", "static:cache= 0.1", "static:cache=0.1 ",
           "scratchpipe:past=0x3", "serve:burst_x=nan",
           "serve:budget_us=inf"})
+        EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
+    // Integer keys take decimal integers only.
+    for (const char *text : {"scratchpipe:past=4.0", "scratchpipe:past=1e1",
+                             "scratchpipe:shard=2.0"})
         EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
 }
 
@@ -307,7 +311,7 @@ TEST(Registry, RunnerBitIdenticalToDirectBuildForAllFiveSystems)
     for (const auto &name : Registry::names()) {
         SystemSpec spec;
         spec.name = name;
-        if (Registry::entry(name).uses_cache_fraction)
+        if (Registry::entry(name).options.contains(OptionSet::Cache))
             spec.cache_fraction = kFraction;
 
         const RunResult via_runner = runner.run(spec);
@@ -319,6 +323,17 @@ TEST(Registry, RunnerBitIdenticalToDirectBuildForAllFiveSystems)
         SCOPED_TRACE(name);
         expectIdentical(via_runner, direct);
     }
+}
+
+TEST(ExperimentRunner, HugeWindowSpecFails)
+{
+    // past + 1 + future wraps to 2 bits in 32-bit arithmetic; the
+    // 16-bit hold-mask check must still refuse it.
+    ExperimentOptions options;
+    options.iterations = 2;
+    const ExperimentRunner runner(smallModel(), kHw, options);
+    EXPECT_THROW(runner.run("scratchpipe:past=4294967295,future=2"),
+                 FatalError);
 }
 
 TEST(ExperimentRunner, SharesOneWorkloadAcrossSystems)

@@ -1,14 +1,16 @@
-// splint fixture tree: parses two spec keys, but the README only
-// documents "cache" -> spec-doc must fire for "zap".
+// splint fixture tree: a grammar table with two rows, but the README
+// only documents "cache" -> spec-doc must fire for "zap".
 
-#include <string>
-
-void
-parseFixtureSpec(const std::string &key)
+struct Option
 {
-    if (key == "cache") {
-        // documented in ../../README.md
-    } else if (key == "zap") {
-        // undocumented -> spec-doc violation on this line's key
-    }
-}
+    const char *key;
+    double *field;
+};
+
+double cache_fraction = 0.0;
+double zap = 0.0;
+
+const Option kRows[] = {
+    {"cache", &cache_fraction}, // documented in ../../README.md
+    {"zap", &zap},              // undocumented -> spec-doc violation
+};

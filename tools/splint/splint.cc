@@ -4,6 +4,7 @@
 #include "splint/lexer.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -57,10 +58,10 @@ const std::vector<Rule> kRules = {
      "tests/cache/probe_kernel_equivalence_test.cc so the harness "
      "proves it bit-identical to scalar"},
     {"spec-doc", Severity::Error,
-     "spec key parsed in sys/spec.cc or data/workload.cc but "
-     "undocumented in README.md",
-     "add the key to README.md's spec-key list (users discover the "
-     "grammar there, not in the parser)"},
+     "spec grammar row in sys/spec.cc, data/workload.cc or "
+     "common/fault.cc whose key is undocumented in README.md",
+     "document the key as `key=` in README.md (users discover the "
+     "grammar there, not in the table)"},
     {"allow-justification", Severity::Error,
      "splint:allow without a justification",
      "write `// splint:allow(<rule>): <why this site is exempt>`"},
@@ -269,42 +270,54 @@ lintKernelRegistration(const fs::path &root,
 }
 
 /**
- * spec-doc: every `key == "<k>"` comparison in a spec parser (system
- * specs in sys/spec.cc, workload specs in data/workload.cc) must have
- * a matching `<k>=` in README.md.
+ * spec-doc: every row of a spec grammar table -- `{"<k>", field...}`
+ * in the system (sys/spec.cc), workload (data/workload.cc) and
+ * SP_FAULTS (common/fault.cc) grammars -- must have a matching `<k>=`
+ * in README.md, not preceded by an identifier character (so the fault
+ * key `p=` is not satisfied by `drift_amp=`).
  */
 void
 lintSpecDoc(const fs::path &root, std::vector<Diagnostic> &diagnostics)
 {
-    const std::optional<std::string> readme =
-        readFile(root / "README.md");
-    const std::regex key_pattern(R"(\bkey\s*==\s*"([A-Za-z0-9_]+)\")");
+    const std::string readme =
+        readFile(root / "README.md").value_or(std::string());
+    const std::regex row_pattern(
+        R"re(\{\s*"([A-Za-z_][A-Za-z0-9_]*)"\s*,)re");
+    const auto documented = [&readme](const std::string &key) {
+        for (size_t at = readme.find(key + "="); at != std::string::npos;
+             at = readme.find(key + "=", at + 1)) {
+            const char before = at == 0 ? ' ' : readme[at - 1];
+            if (!std::isalnum(static_cast<unsigned char>(before)) &&
+                before != '_')
+                return true;
+        }
+        return false;
+    };
 
-    const fs::path parsers[] = {root / "src" / "sys" / "spec.cc",
-                                root / "src" / "data" / "workload.cc"};
-    for (const fs::path &spec : parsers) {
-        const std::optional<std::string> spec_text = readFile(spec);
-        if (!spec_text.has_value())
+    const fs::path grammars[] = {root / "src" / "sys" / "spec.cc",
+                                 root / "src" / "data" / "workload.cc",
+                                 root / "src" / "common" / "fault.cc"};
+    for (const fs::path &grammar : grammars) {
+        const std::optional<std::string> text = readFile(grammar);
+        if (!text.has_value())
             continue;
 
         // The key names live inside string literals, so this check
         // reads the literal-preserving channel (comments still
-        // stripped: a commented-out `key == "old"` is not a parsed
-        // key).
-        const std::vector<ScannedLine> lines = scanLines(*spec_text);
+        // stripped: a commented-out row is not a parsed key).
+        const std::vector<ScannedLine> lines = scanLines(*text);
         for (size_t i = 0; i < lines.size(); ++i) {
             auto begin = std::sregex_iterator(
                 lines[i].code_with_literals.begin(),
-                lines[i].code_with_literals.end(), key_pattern);
+                lines[i].code_with_literals.end(), row_pattern);
             for (auto it = begin; it != std::sregex_iterator(); ++it) {
                 const std::string key = (*it)[1].str();
-                if (!readme.has_value() ||
-                    readme->find(key + "=") == std::string::npos) {
+                if (!documented(key)) {
                     diagnostics.push_back(makeDiagnostic(
-                        relativePath(root, spec), i + 1, "spec-doc",
+                        relativePath(root, grammar), i + 1, "spec-doc",
                         "spec key '" + key +
-                            "=' is parsed here but not documented in "
-                            "README.md"));
+                            "=' is a grammar row here but not "
+                            "documented in README.md"));
                 }
             }
         }

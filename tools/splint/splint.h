@@ -35,8 +35,9 @@
  *   kernel-registration every src/cache/probe_kernel_<arch>.cc TU
  *                       must be covered by the kernel-equivalence
  *                       harness's registration list.
- *   spec-doc            every spec key parsed in src/sys/spec.cc must
- *                       be documented in README.md.
+ *   spec-doc            every row of the spec grammar tables (system,
+ *                       workload and SP_FAULTS keys) must be
+ *                       documented as `key=` in README.md.
  *
  * On top of the lexical rules, analyzeTree() runs the semantic pass:
  * a tree-wide symbol index (splint/index.h) feeds a call graph and an

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "tensor/rng.h"
 #include "data/trace_store.h"
 #include "data/workload.h"
 #include "metrics/table_printer.h"
@@ -149,36 +148,6 @@ makeWorkload(data::Locality locality, const WorkloadOptions &overrides)
     options.replay_path = shaping.replay_path;
     workload.runner = std::make_unique<sys::ExperimentRunner>(
         workload.model, sim::HardwareConfig::paperTestbed(), options);
-    return workload;
-}
-
-ProbeWorkload
-makeProbeWorkload(size_t buckets, int hit_pct, int load_pct,
-                  size_t num_keys, uint64_t seed)
-{
-    // HitMap sizes to bit_ceil(2 * expected), so buckets/2 yields
-    // exactly `buckets` for a power-of-two input; load_pct <= 65
-    // stays below the 0.7 growth threshold.
-    ProbeWorkload workload{cache::HitMap(buckets / 2), {}};
-    tensor::Rng rng(seed);
-    std::vector<uint64_t> resident;
-    while (workload.map.size() * 100 <
-           buckets * static_cast<size_t>(load_pct)) {
-        const uint64_t key = rng.uniformInt(1u << 30);
-        if (!workload.map.contains(key)) {
-            workload.map.insert(
-                key, static_cast<uint32_t>(workload.map.size()));
-            resident.push_back(key);
-        }
-    }
-    workload.keys.resize(num_keys);
-    for (auto &key : workload.keys) {
-        const bool hit = !resident.empty() &&
-                         rng.uniform() * 100.0 <
-                             static_cast<double>(hit_pct);
-        key = hit ? resident[rng.uniformInt(resident.size())]
-                  : (1u << 30) + rng.uniformInt(1u << 30);
-    }
     return workload;
 }
 

@@ -15,11 +15,11 @@
  * Iteration counts honour SP_BENCH_WARMUP / SP_BENCH_MEASURE so the
  * whole suite can be sped up or made more precise from the shell, and
  * every driver takes the shared flags (addCommonFlags /
- * applyCommonFlags): --jobs, so the whole suite -- not just
- * perf_simcore -- exercises the worker pool at a controlled width,
- * and --no-trace-cache, opting out of the content-addressed trace
- * cache (data/trace_store.h) that otherwise lets every driver
- * warm-start from an mmap'd trace published by any earlier run.
+ * applyCommonFlags): --jobs, so every driver exercises the worker
+ * pool at a controlled width, and --no-trace-cache, opting out of the
+ * content-addressed trace cache (data/trace_store.h) that otherwise
+ * lets every driver warm-start from an mmap'd trace published by any
+ * earlier run.
  */
 
 #ifndef SP_BENCH_COMMON_WORKLOAD_H
@@ -27,9 +27,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "cache/hit_map.h"
 #include "common/args.h"
 #include "data/dataset.h"
 #include "sim/hardware_config.h"
@@ -39,10 +37,10 @@
 namespace sp::bench
 {
 
-/** Warm-up batches before measurement (default 25). */
+/** Warm-up batches before measurement (default 5). */
 uint64_t warmupIterations();
 
-/** Measured batches (default 15). */
+/** Measured batches (default 10). */
 uint64_t measureIterations();
 
 /**
@@ -127,30 +125,6 @@ Workload makeWorkload(data::Locality locality,
 /** makeWorkload with explicit overrides (quick modes, pooled sweeps). */
 Workload makeWorkload(data::Locality locality,
                       const WorkloadOptions &options);
-
-/**
- * The shared fixture of the hitmap_probe bench family
- * (micro_primitives and perf_simcore): a HitMap filled to a target
- * load factor plus a probe-key stream at a target hit rate. One
- * definition keeps the two benches' grids measuring the same
- * distribution.
- */
-struct ProbeWorkload
-{
-    cache::HitMap map;
-    std::vector<uint64_t> keys;
-};
-
-/**
- * Fill a `buckets`-bucket map (buckets must be a power of two; the
- * fill stays below the growth threshold, so load_pct <= 65) to
- * load_pct% occupancy with uniform keys below 2^30, then draw
- * `num_keys` probe keys: hit_pct% sampled from the resident set, the
- * rest from the disjoint [2^30, 2^31) range (guaranteed misses).
- */
-ProbeWorkload makeProbeWorkload(size_t buckets, int hit_pct,
-                                int load_pct, size_t num_keys,
-                                uint64_t seed);
 
 /** Print the standard bench banner (figure id + paper reference). */
 void printBanner(const std::string &title, const std::string &reference);

@@ -249,10 +249,9 @@ main(int argc, char **argv)
                    "burst_len=2,burst_ranks=512', or 'replay=FILE' to "
                    "run a recorded trace (see data/workload.h)");
     args.addString("format", "table", "table|csv|json");
-    args.addBool("parallel", "simulate systems on the worker pool");
     args.addInt("jobs", 0,
                 "worker threads for every parallel site (trace "
-                "generation, per-table planning, --parallel sweeps); "
+                "generation, per-table planning, sweeps); "
                 "0 = all cores, 1 = fully serial");
     args.addBool("no-trace-cache",
                  "regenerate the trace instead of serving it from the "
@@ -334,11 +333,9 @@ main(int argc, char **argv)
             static_cast<uint64_t>(args.getInt("iterations"));
         options.warmup = static_cast<uint64_t>(args.getInt("warmup"));
         // --jobs given: that width drives the sweep too (0 = all
-        // cores). Otherwise the sweep stays sequential unless
-        // --parallel asks for an all-cores fan-out.
-        options.jobs = args.wasSet("jobs")
-                           ? static_cast<uint32_t>(jobs)
-                           : (args.getBool("parallel") ? 0 : 1);
+        // cores). Otherwise the sweep stays sequential.
+        options.jobs =
+            args.wasSet("jobs") ? static_cast<uint32_t>(jobs) : 1;
         options.fail_fast = args.getBool("fail-fast");
         options.replay_path = workload.replay_path;
 

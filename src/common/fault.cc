@@ -200,8 +200,8 @@ sites()
          "latency/queue accounting; the stream continues and the run "
          "completes with drops in RunResult::serving.dropped"},
         {"thread_pool.task",
-         "the exception surfaces exactly once at join/wait/future; "
-         "remaining indices drain"},
+         "the exception surfaces exactly once at the parallelFor "
+         "join or Completion::wait; remaining indices drain"},
         {"trace_store.load",
          "the cached entry is treated as a miss; the trace is "
          "regenerated (and republished)"},

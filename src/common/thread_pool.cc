@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/fault.h"
 #include "common/logging.h"
 
 namespace sp::common
@@ -33,7 +34,7 @@ ThreadPool::enqueue(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        panicIf(stop_, "submit on a stopping ThreadPool");
+        panicIf(stop_, "enqueue on a stopping ThreadPool");
         // splint:allow(hot-path-transitive-alloc): dispatch-time queue growth, bounded by the helper count
         queue_.push_back(std::move(task));
     }
@@ -53,9 +54,8 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        // Both task kinds report errors through their own channel
-        // (packaged_task -> future; ForState::drain -> first-error
-        // slot), so an exception reaching this frame is a task wrapper
+        // ForState::drain reports errors through its first-error
+        // slot, so an exception reaching this frame is a task wrapper
         // bug -- but it must not std::terminate the process. Isolate
         // the worker and keep serving the queue.
         try {

@@ -4,10 +4,9 @@
  *
  * One bounded pool serves every parallel site in the simulator: trace
  * generation, per-batch statistics, per-table [Plan] fan-out, sharded
- * mark-pass probes, and whole-system sweeps in ExperimentRunner. Three
+ * mark-pass probes, and whole-system sweeps in ExperimentRunner. Two
  * primitives:
  *
- *   submit(fn)        enqueue an arbitrary task, get a std::future;
  *   parallelFor(n,fn) run fn(0..n-1) cooperatively: the calling
  *                     thread participates, so nesting a parallelFor
  *                     inside a pool task can never deadlock -- if all
@@ -40,15 +39,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "common/fault.h"
 
 namespace sp::common
 {
@@ -71,28 +65,6 @@ class ThreadPool
 
     /** Number of worker threads. */
     size_t size() const { return workers_.size(); }
-
-    /**
-     * Enqueue `fn` on a worker; the future carries its result. An
-     * exception thrown by `fn` is captured by the packaged task and
-     * rethrown from future.get() -- it never unwinds a worker. The
-     * fault site runs inside the task for the same reason: an
-     * injected "thread_pool.task" fault surfaces on the future.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            [body = std::forward<F>(fn)]() mutable -> R {
-                SP_FAULT_POINT("thread_pool.task");
-                return body();
-            });
-        std::future<R> future = task->get_future();
-        enqueue([task] { (*task)(); });
-        return future;
-    }
 
     /**
      * Run fn(0), ..., fn(n-1), distributing indices over the workers

@@ -221,7 +221,7 @@ FunctionalStaticCacheTrainer::FunctionalStaticCacheTrainer(
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    fatalIf(cache_fraction <= 0.0 || cache_fraction > 1.0,
+    fatalIf(!(cache_fraction > 0.0 && cache_fraction <= 1.0),
             "cache_fraction must be in (0, 1], got ", cache_fraction);
     fatalIf(config.optimizer != Optimizer::Sgd,
             "the static-cache trainer supports SGD only; use the hybrid "

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -412,17 +413,21 @@ servingDropScenario()
 }
 
 /** Pool isolation: the injected task fault surfaces exactly once on
- *  the documented channel (future / parallelFor join). */
+ *  the documented channel (the parallelFor join). */
 void
 threadPoolTaskScenario()
 {
     {
         FaultGuard guard("thread_pool.task:after=0");
         ThreadPool pool(2);
-        auto future = pool.submit([] { return 11; });
-        EXPECT_THROW(future.get(), FaultInjectedError);
-        // The worker survived the throw and still serves tasks.
-        EXPECT_EQ(pool.submit([] { return 17; }).get(), 17);
+        std::atomic<size_t> ran{0};
+        const auto count = [&ran](size_t) { ++ran; };
+        EXPECT_THROW(pool.parallelFor(8, count), FaultInjectedError);
+        EXPECT_EQ(firedCount("thread_pool.task"), 1u);
+        // The same pool still completes a following fan-out.
+        ran = 0;
+        pool.parallelFor(8, count);
+        EXPECT_EQ(ran.load(), 8u);
     }
     {
         FaultGuard guard("thread_pool.task:after=1");

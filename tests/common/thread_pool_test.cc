@@ -20,33 +20,6 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker)
     EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitReturnsResultThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManySubmissionsAllComplete)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 200; ++i)
-        futures.push_back(pool.submit([&counter] { ++counter; }));
-    for (auto &future : futures)
-        future.get();
-    EXPECT_EQ(counter.load(), 200);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
     ThreadPool pool(4);

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "sys/functional.h"
 
@@ -58,6 +60,20 @@ TEST(FunctionalEquivalence, StaticCacheMatchesHybrid)
     EXPECT_TRUE(nn::DlrmModel::identical(hybrid.model(), cached.model()));
     EXPECT_EQ(r_hybrid.losses, r_cached.losses);
     EXPECT_EQ(r_hybrid.accuracies, r_cached.accuracies);
+}
+
+TEST(FunctionalStaticCacheTrainer, RejectsFractionOutsideUnitInterval)
+{
+    // NaN fails every comparison, so only a check written as
+    // !(in range) rejects it; admitted, it reaches train()'s
+    // double-to-integer row count, which is undefined for NaN.
+    for (const double fraction :
+         {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.5}) {
+        EXPECT_THROW(
+            FunctionalStaticCacheTrainer(functionalModel(), fraction),
+            FatalError)
+            << "cache_fraction=" << fraction;
+    }
 }
 
 TEST(FunctionalEquivalence, StrawmanMatchesHybrid)

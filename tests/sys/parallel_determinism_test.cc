@@ -47,15 +47,32 @@ TEST(ParallelDeterminism, PooledTraceGenerationIsBitIdentical)
 {
     // The dataset constructor fans batch generation out over the
     // global pool; every batch must equal the one a direct (serial)
-    // TraceGenerator call produces.
-    const ModelConfig model = testModel();
-    const data::TraceDataset dataset(model.trace, 12);
-    const data::TraceGenerator generator(model.trace);
-    for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
-        const data::MiniBatch expected = generator.makeBatch(b);
-        const data::MiniBatch &got = dataset.batch(b);
-        ASSERT_EQ(got.index, expected.index);
-        ASSERT_EQ(got.table_ids, expected.table_ids) << "batch " << b;
+    // TraceGenerator call produces, stationary and under each
+    // workload overlay (drift, churn, flash-crowd burst). Widen the
+    // pool so generation crosses real threads even on a single-core
+    // host.
+    if (common::ThreadPool::global().size() < 4)
+        common::ThreadPool::setGlobalThreads(4);
+    const data::TraceDataset stationary(testModel().trace, 12);
+    for (const char *shaping :
+         {"", "drift_amp=0.4,drift_period=4,phase=1",
+          "churn_k=1024,churn_period=4",
+          "burst_frac=0.3,burst_period=8,burst_len=2,burst_ranks=512"}) {
+        ModelConfig model = testModel();
+        model.trace.workload = data::WorkloadSpec::parse(shaping).config;
+        const data::TraceDataset dataset(model.trace, 12);
+        const data::TraceGenerator generator(model.trace);
+        bool shaped = false;
+        for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
+            const data::MiniBatch expected = generator.makeBatch(b);
+            const data::MiniBatch &got = dataset.batch(b);
+            ASSERT_EQ(got.index, expected.index) << shaping;
+            ASSERT_EQ(got.table_ids, expected.table_ids)
+                << shaping << " batch " << b;
+            shaped |= got.table_ids != stationary.batch(b).table_ids;
+        }
+        // Each overlay is live, not a no-op that trivially matches.
+        EXPECT_EQ(shaped, *shaping != '\0') << shaping;
     }
 }
 

@@ -4,8 +4,8 @@
  *
  * One bounded pool serves every parallel site in the simulator: trace
  * generation, per-batch statistics, per-table [Plan] fan-out, sharded
- * mark-pass probes, and whole-system sweeps in ExperimentRunner. Two
- * primitives:
+ * mark-pass probes, serving's per-table tier replay, and whole-system
+ * sweeps in ExperimentRunner. Two primitives:
  *
  *   parallelFor(n,fn) run fn(0..n-1) cooperatively: the calling
  *                     thread participates, so nesting a parallelFor

@@ -147,9 +147,9 @@ FunctionalHybridTrainer::FunctionalHybridTrainer(const ModelConfig &config)
 
 FunctionalRunResult
 FunctionalHybridTrainer::train(const data::TraceDataset &dataset,
-                               uint64_t iterations, uint64_t start_batch)
+                               uint64_t iterations)
 {
-    fatalIf(start_batch + iterations > dataset.numBatches(),
+    fatalIf(iterations > dataset.numBatches(),
             "dataset has only ", dataset.numBatches(), " batches");
     FunctionalRunResult result;
     std::vector<emb::RowAccessor *> accessors;
@@ -160,7 +160,7 @@ FunctionalHybridTrainer::train(const data::TraceDataset &dataset,
         state_accessors.push_back(&table);
     auto *state = state_tables_.empty() ? nullptr : &state_accessors;
 
-    for (uint64_t i = start_batch; i < start_batch + iterations; ++i) {
+    for (uint64_t i = 0; i < iterations; ++i) {
         double accuracy = 0.0;
         const double loss = functionalTrainStep(
             model_, accessors, dataset.batch(i), dataset.denseFeatures(i),

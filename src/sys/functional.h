@@ -81,22 +81,15 @@ class FunctionalHybridTrainer
   public:
     explicit FunctionalHybridTrainer(const ModelConfig &config);
 
-    /**
-     * Train over batches [start_batch, start_batch + iterations).
-     * The offset supports checkpoint-resume runs.
-     */
+    /** Train over batches [0, iterations). */
     FunctionalRunResult train(const data::TraceDataset &dataset,
-                              uint64_t iterations,
-                              uint64_t start_batch = 0);
+                              uint64_t iterations);
 
     const std::vector<emb::EmbeddingTable> &tables() const
     {
         return tables_;
     }
     const nn::DlrmModel &model() const { return model_; }
-    /** Mutable access for checkpoint restore. */
-    std::vector<emb::EmbeddingTable> &tables() { return tables_; }
-    nn::DlrmModel &model() { return model_; }
     /** Per-row AdaGrad accumulators (empty under SGD). */
     const std::vector<emb::EmbeddingTable> &stateTables() const
     {

@@ -183,7 +183,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             total[1].demand +=
                 latency_.pcieH2DDemand(ids_per_gpu * sizeof(uint64_t));
             emb::Traffic t;
-            t.dense_read_bytes = ids_per_gpu * 16.0; // hash probes
+            t.dense_read_bytes = ids_per_gpu * kProbeBytesPerId;
             t.dense_read_bytes += static_cast<double>(slots_per_table_) *
                                   tables_per_gpu * sizeof(uint16_t);
             t.dense_write_bytes += static_cast<double>(slots_per_table_) *

@@ -9,10 +9,10 @@
 #include "cache/hit_map.h"
 #include "common/fault.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "emb/traffic.h"
 #include "metrics/percentile.h"
 #include "nn/flops.h"
-#include "sim/event_queue.h"
 #include "sys/registry.h"
 
 namespace sp::sys
@@ -79,216 +79,169 @@ class TierCache
     std::vector<uint64_t> slot_key_;
 };
 
-/** A request waiting for admission. */
+/** A request admitted into a batch. */
 struct Pending
 {
     double arrival = 0.0;
     uint64_t index = 0;
 };
 
-/** All mutable state of one serving simulation. */
-struct ServeContext
+/** Pass 1's output: the batches and the admission-side counters. */
+struct Admission
 {
-    // Wiring (const for the whole run).
-    const data::TraceDataset &dataset;
-    const sim::LatencyModel &latency;
-    const ModelConfig &model;
-    const ServeOptions &options;
-    uint64_t total_requests = 0;
-    uint64_t warm_requests = 0;
-
-    // Virtual-time machinery.
-    sim::EventQueue events;
-    data::ArrivalProcess arrivals;
-    std::vector<Pending> queue;
-    std::vector<TierCache> tiers;
-    double server_free = 0.0;
-
-    // Measured outcomes.
-    metrics::PercentileReservoir latencies;
-    double wait_sum = 0.0;
-    double service_sum = 0.0;
-    double cpu_busy = 0.0;
-    double gpu_busy = 0.0;
+    /** Undropped requests in arrival order; batch b holds
+     *  requests[end[b - 1], end[b]) (from 0 for b = 0). */
+    std::vector<Pending> requests;
+    std::vector<size_t> end;
+    /** When each batch was admitted: its fill or its deadline. */
+    std::vector<double> admit;
     double depth_sum = 0.0;
     uint64_t depth_samples = 0;
     uint64_t depth_max = 0;
-    uint64_t hits = 0;
-    uint64_t ids = 0;
-    uint64_t served = 0;
     uint64_t dropped = 0;
-    uint64_t batches = 0;
-    double first_measured_arrival = -1.0;
-    double last_completion = 0.0;
-
-    ServeContext(const data::TraceDataset &dataset_,
-                 const sim::LatencyModel &latency_,
-                 const ModelConfig &model_, const ServeOptions &options_)
-        : dataset(dataset_), latency(latency_), model(model_),
-          options(options_), arrivals(options_.arrival, model_.trace.seed)
-    {
-    }
-
-    void scheduleArrival(uint64_t request);
-    void onArrival(uint64_t request, double when);
-    void dispatch(double admit);
-    double serviceTime(uint64_t admitted_hits, uint64_t admitted_misses,
-                       uint64_t admitted, bool measured);
+    double first_measured_arrival = 0.0;
 };
 
-void
-ServeContext::scheduleArrival(uint64_t request)
+/** Pass 1: batch the arrival stream (see serving.h for the rules). */
+Admission
+admitRequests(const ServeOptions &options, uint64_t seed,
+              uint64_t total_requests, uint64_t warm_requests)
 {
-    events.schedule(arrivals.next(), [this, request] {
-        onArrival(request, events.now());
-    });
+    Admission out;
+    out.requests.reserve(static_cast<size_t>(total_requests));
+    data::ArrivalProcess arrivals(options.arrival, seed);
+    const double budget = options.budget_us * 1e-6;
+    size_t begin = 0; // open batch = requests[begin, size())
+    uint64_t front = 0;
+    double deadline = 0.0;
+    const auto close = [&out, &begin](double admit) {
+        out.end.push_back(out.requests.size());
+        out.admit.push_back(admit);
+        begin = out.requests.size();
+    };
+
+    for (uint64_t r = 0; r < total_requests; ++r) {
+        const double when = arrivals.next();
+        // Tie rule: arrival front + 1 precedes an equal deadline, and
+        // every later arrival follows it.
+        if (out.requests.size() > begin &&
+            (deadline < when || (deadline == when && r >= front + 2)))
+            close(deadline);
+
+        const bool measured = r >= warm_requests;
+        if (r == warm_requests)
+            out.first_measured_arrival = when;
+
+        // serve.request.drop: admission-control fault. The documented
+        // degradation: this request is counted dropped and excluded
+        // from latency/queue accounting; the stream and the run
+        // continue.
+        bool drop = false;
+        try {
+            SP_FAULT_POINT("serve.request.drop");
+        } catch (const common::fault::FaultInjectedError &) {
+            drop = true;
+        }
+        if (drop) {
+            if (measured)
+                ++out.dropped;
+            continue;
+        }
+
+        if (out.requests.size() == begin) {
+            front = r;
+            deadline = when + budget;
+        }
+        out.requests.push_back(Pending{when, r});
+        const uint64_t queued = out.requests.size() - begin;
+        if (measured) {
+            out.depth_sum += static_cast<double>(queued);
+            ++out.depth_samples;
+            out.depth_max = std::max(out.depth_max, queued);
+        }
+        if (queued >= options.batch_max)
+            close(when);
+    }
+    if (out.requests.size() > begin)
+        close(deadline);
+    return out;
 }
 
-void
-ServeContext::onArrival(uint64_t request, double when)
+/**
+ * Pass 2: each table's GPU tier replays that table's IDs in dispatch
+ * order. Tables are independent, so they fan out over the pool, and
+ * table t writes only row t of the per-batch hit counts.
+ */
+std::vector<uint64_t>
+replayTiers(const data::TraceDataset &dataset, const ModelConfig &model,
+            const ServeOptions &options, uint64_t cached_rows,
+            const Admission &admission)
 {
-    // Chain the stream: each arrival schedules the next so the event
-    // queue never holds more than one future arrival.
-    if (request + 1 < total_requests)
-        scheduleArrival(request + 1);
-
-    const bool measured = request >= warm_requests;
-    if (measured && first_measured_arrival < 0.0)
-        first_measured_arrival = when;
-
-    // serve.request.drop: admission-control fault. The documented
-    // degradation: this request is counted dropped and excluded from
-    // latency/queue accounting; the stream and the run continue.
-    bool drop = false;
-    try {
-        SP_FAULT_POINT("serve.request.drop");
-    } catch (const common::fault::FaultInjectedError &) {
-        drop = true;
-    }
-    if (drop) {
-        if (measured)
-            ++dropped;
-        return;
-    }
-
-    queue.push_back(Pending{when, request});
-    if (measured) {
-        depth_sum += static_cast<double>(queue.size());
-        ++depth_samples;
-        depth_max = std::max<uint64_t>(depth_max, queue.size());
-    }
-
-    if (queue.size() >= options.batch_max) {
-        dispatch(when);
-    } else if (queue.size() == 1) {
-        // Arm the admission deadline for this queue generation. If the
-        // batch fills (or a deadline dispatches it) first, the front
-        // index no longer matches and the stale timer is a no-op.
-        events.schedule(when + options.budget_us * 1e-6,
-                        [this, request] {
-            if (!queue.empty() && queue.front().index == request)
-                dispatch(events.now());
-        });
-    }
-}
-
-void
-ServeContext::dispatch(double admit)
-{
-    const size_t num_tables = model.trace.num_tables;
     const size_t lookups = model.trace.lookups_per_table;
     const uint64_t trace_batch = model.trace.batch_size;
-
-    uint64_t batch_hits = 0, batch_misses = 0;
-    bool measured = false;
-    for (const Pending &request : queue) {
-        measured = measured || request.index >= warm_requests;
-        const auto &mini = dataset.batch(request.index / trace_batch);
-        const size_t sample =
-            static_cast<size_t>(request.index % trace_batch);
-        for (size_t t = 0; t < num_tables; ++t) {
-            const auto sample_ids =
-                mini.ids(t).subspan(sample * lookups, lookups);
-            for (const uint64_t id : sample_ids) {
-                if (tiers[t].lookup(id))
-                    ++batch_hits;
-                else
-                    ++batch_misses;
+    const size_t batches = admission.end.size();
+    std::vector<uint64_t> hits(model.trace.num_tables * batches, 0);
+    common::parallelFor(model.trace.num_tables, [&](size_t t) {
+        TierCache tier(options.dynamic_refresh, cached_rows,
+                       options.policy,
+                       model.trace.seed + 0x5e57e * (t + 1));
+        size_t i = 0;
+        for (size_t b = 0; b < batches; ++b) {
+            uint64_t batch_hits = 0;
+            // splint:hot-path-begin(serve-tier-replay)
+            for (; i < admission.end[b]; ++i) {
+                const uint64_t index = admission.requests[i].index;
+                const size_t sample =
+                    static_cast<size_t>(index % trace_batch);
+                for (const uint64_t id :
+                     dataset.batch(index / trace_batch)
+                         .ids(t)
+                         .subspan(sample * lookups, lookups))
+                    batch_hits += tier.lookup(id) ? 1 : 0;
             }
+            // splint:hot-path-end
+            hits[t * batches + b] = batch_hits;
         }
-    }
-
-    const uint64_t admitted = queue.size();
-    const double service =
-        serviceTime(batch_hits, batch_misses, admitted, measured);
-    const double start = std::max(admit, server_free);
-    const double completion = start + service;
-    server_free = completion;
-
-    for (const Pending &request : queue) {
-        if (request.index < warm_requests)
-            continue;
-        latencies.add(completion - request.arrival);
-        wait_sum += start - request.arrival;
-        service_sum += service;
-        ++served;
-    }
-    if (measured) {
-        ++batches;
-        hits += batch_hits;
-        ids += batch_hits + batch_misses;
-        last_completion = completion;
-    }
-    queue.clear();
-
-    // Advance the virtual clock past the completion so events.now()
-    // ends at the drain point of the last batch.
-    events.schedule(completion, [] {});
+    });
+    return hits;
 }
 
-double
-ServeContext::serviceTime(uint64_t admitted_hits,
-                          uint64_t admitted_misses, uint64_t admitted,
-                          bool measured)
+/** One batch's service time and its CPU and GPU shares. */
+struct ServiceTime
+{
+    double cpu = 0.0;
+    double gpu = 0.0;
+    double total = 0.0;
+};
+
+ServiceTime
+serviceTime(const sim::LatencyModel &latency, const ModelConfig &model,
+            const ServeOptions &options, uint64_t hits, uint64_t misses,
+            uint64_t admitted)
 {
     const auto &hw = latency.config();
     const size_t rb = model.rowBytes();
-    const double n_ids =
-        static_cast<double>(admitted_hits + admitted_misses);
     using CpuPath = sim::LatencyModel::CpuPath;
 
-    // [Query] IDs up, probe the GPU tier, missed IDs back to the host.
-    emb::Traffic probe;
-    probe.dense_read_bytes = n_ids * 16.0; // hash-table probes
-    const double t_query =
-        latency.pcieTime(n_ids * sizeof(uint64_t)) +
-        latency.gpuMemTime(probe) +
-        latency.pcieTime(static_cast<double>(admitted_misses) *
-                         sizeof(uint64_t));
-
-    // Host parameter server gathers the missed rows.
+    // [Query] against the GPU tier, then missed rows + dense inputs
+    // up; the host parameter server gathers the missed rows between.
+    const CacheTransferTimes transfer = cacheTransferTimes(
+        latency, model, static_cast<double>(hits + misses), misses,
+        admitted);
     const double t_host =
-        latency.cpuTime(emb::gatherTraffic(admitted_misses, rb),
+        latency.cpuTime(emb::gatherTraffic(misses, rb),
                         CpuPath::Framework) +
         hw.cpu_serve_overhead;
-
-    // Missed embeddings + dense inputs up.
-    const double h2d_bytes =
-        static_cast<double>(admitted_misses) * rb +
-        static_cast<double>(admitted) * (model.trace.dense_features + 1) *
-            sizeof(float);
-    const double t_h2d = latency.pcieTime(h2d_bytes);
 
     // GPU: gather hit rows, reduce per sample, insert refreshed rows
     // (dynamic tier writes every missed row back), forward pass.
     emb::Traffic gpu;
-    gpu += emb::gatherTraffic(admitted_hits, rb);
+    gpu += emb::gatherTraffic(hits, rb);
     for (size_t t = 0; t < model.trace.num_tables; ++t)
         gpu += emb::reduceTraffic(
             admitted * model.trace.lookups_per_table, admitted, rb);
     if (options.dynamic_refresh)
-        gpu.sparse_write_bytes +=
-            static_cast<double>(admitted_misses) * rb;
+        gpu.sparse_write_bytes += static_cast<double>(misses) * rb;
     const double flops = nn::dlrmForwardFlops(
         model.dlrmConfig(), static_cast<size_t>(admitted));
     const double t_gpu = latency.gpuComputeTime(flops) +
@@ -298,11 +251,12 @@ ServeContext::serviceTime(uint64_t admitted_hits,
     const double t_d2h = latency.pcieTime(
         static_cast<double>(admitted) * sizeof(float));
 
-    if (measured) {
-        cpu_busy += t_host;
-        gpu_busy += t_query + t_h2d + t_gpu + t_d2h;
-    }
-    return t_query + t_host + t_h2d + t_gpu + t_d2h;
+    ServiceTime time;
+    time.cpu = t_host;
+    time.gpu = transfer.query + transfer.miss_upload + t_gpu + t_d2h;
+    time.total =
+        transfer.query + t_host + transfer.miss_upload + t_gpu + t_d2h;
+    return time;
 }
 
 } // namespace
@@ -348,67 +302,101 @@ ServingSystem::simulate(const data::TraceDataset &dataset,
     fatalIf(warmup + iterations > dataset.numBatches(),
             "dataset has only ", dataset.numBatches(), " batches");
 
-    ServeContext ctx(dataset, latency_, model_, options_);
-    ctx.total_requests =
-        (warmup + iterations) * model_.trace.batch_size;
-    ctx.warm_requests = warmup * model_.trace.batch_size;
-    ctx.queue.reserve(options_.batch_max);
-    ctx.latencies.reserve(static_cast<size_t>(iterations) *
-                          model_.trace.batch_size);
-    for (size_t t = 0; t < model_.trace.num_tables; ++t)
-        ctx.tiers.emplace_back(options_.dynamic_refresh, cached_rows_,
-                               options_.policy,
-                               model_.trace.seed + 0x5e57e * (t + 1));
+    const uint64_t warm_requests = warmup * model_.trace.batch_size;
+    const Admission admission = admitRequests(
+        options_, model_.trace.seed,
+        (warmup + iterations) * model_.trace.batch_size, warm_requests);
+    const std::vector<uint64_t> tier_hits =
+        replayTiers(dataset, model_, options_, cached_rows_, admission);
 
-    ctx.scheduleArrival(0);
-    // splint:hot-path-begin(serve-event-drain)
-    while (ctx.events.runNext()) {
+    // Pass 3: the single FIFO server takes the batches in order.
+    const size_t num_tables = model_.trace.num_tables;
+    const size_t num_batches = admission.end.size();
+    metrics::PercentileReservoir latencies;
+    latencies.reserve(static_cast<size_t>(iterations) *
+                      model_.trace.batch_size);
+    double server_free = 0.0, wait_sum = 0.0, service_sum = 0.0;
+    double cpu_busy = 0.0, gpu_busy = 0.0, last_completion = 0.0;
+    uint64_t hits = 0, ids = 0, served = 0, batches = 0;
+    size_t i = 0;
+    for (size_t b = 0; b < num_batches; ++b) {
+        const size_t end = admission.end[b];
+        const uint64_t admitted = end - i;
+        const uint64_t batch_ids =
+            admitted * num_tables * model_.trace.lookups_per_table;
+        uint64_t batch_hits = 0;
+        for (size_t t = 0; t < num_tables; ++t)
+            batch_hits += tier_hits[t * num_batches + b];
+        const ServiceTime service =
+            serviceTime(latency_, model_, options_, batch_hits,
+                        batch_ids - batch_hits, admitted);
+        const double start = std::max(admission.admit[b], server_free);
+        const double completion = start + service.total;
+        server_free = completion;
+
+        // Requests are in index order: the last one decides whether
+        // the batch is measured.
+        const bool measured =
+            admission.requests[end - 1].index >= warm_requests;
+        for (; i < end; ++i) {
+            const Pending &request = admission.requests[i];
+            if (request.index < warm_requests)
+                continue;
+            latencies.add(completion - request.arrival);
+            wait_sum += start - request.arrival;
+            service_sum += service.total;
+            ++served;
+        }
+        if (measured) {
+            cpu_busy += service.cpu;
+            gpu_busy += service.gpu;
+            ++batches;
+            hits += batch_hits;
+            ids += batch_ids;
+            last_completion = completion;
+        }
     }
-    // splint:hot-path-end
 
-    const double span =
-        ctx.last_completion - std::max(ctx.first_measured_arrival, 0.0);
+    const double span = last_completion - admission.first_measured_arrival;
     RunResult result;
     result.system_name = name();
     result.iterations = iterations;
     result.serving.enabled = true;
-    result.serving.requests = ctx.served;
-    result.serving.dropped = ctx.dropped;
-    result.serving.batches = ctx.batches;
+    result.serving.requests = served;
+    result.serving.dropped = admission.dropped;
+    result.serving.batches = batches;
     result.serving.offered_rate = options_.arrival.rate;
-    if (ctx.served > 0) {
+    if (served > 0) {
         result.serving.achieved_rate =
-            span > 0.0 ? static_cast<double>(ctx.served) / span : 0.0;
-        result.serving.p50 = ctx.latencies.percentile(0.50);
-        result.serving.p99 = ctx.latencies.percentile(0.99);
-        result.serving.p999 = ctx.latencies.percentile(0.999);
-        result.serving.mean = ctx.latencies.mean();
-        result.serving.max = ctx.latencies.maxValue();
-        const double inv_served = 1.0 / static_cast<double>(ctx.served);
-        result.breakdown.add("request wait", ctx.wait_sum * inv_served);
-        result.breakdown.add("request service",
-                             ctx.service_sum * inv_served);
+            span > 0.0 ? static_cast<double>(served) / span : 0.0;
+        result.serving.p50 = latencies.percentile(0.50);
+        result.serving.p99 = latencies.percentile(0.99);
+        result.serving.p999 = latencies.percentile(0.999);
+        result.serving.mean = latencies.mean();
+        result.serving.max = latencies.maxValue();
+        const double inv_served = 1.0 / static_cast<double>(served);
+        result.breakdown.add("request wait", wait_sum * inv_served);
+        result.breakdown.add("request service", service_sum * inv_served);
     }
-    if (ctx.depth_samples > 0) {
+    if (admission.depth_samples > 0) {
         result.serving.mean_queue_depth =
-            ctx.depth_sum / static_cast<double>(ctx.depth_samples);
+            admission.depth_sum /
+            static_cast<double>(admission.depth_samples);
         result.serving.max_queue_depth =
-            static_cast<double>(ctx.depth_max);
+            static_cast<double>(admission.depth_max);
     }
-    if (ctx.batches > 0)
+    if (batches > 0)
         result.serving.mean_batch_fill =
-            static_cast<double>(ctx.served) /
-            static_cast<double>(ctx.batches);
+            static_cast<double>(served) / static_cast<double>(batches);
 
     const double inv_iters = 1.0 / static_cast<double>(iterations);
     result.seconds_per_iteration = span > 0.0 ? span * inv_iters : 0.0;
     result.busy.iteration_seconds = result.seconds_per_iteration;
-    result.busy.cpu_busy_seconds = ctx.cpu_busy * inv_iters;
-    result.busy.gpu_busy_seconds = ctx.gpu_busy * inv_iters;
-    result.hit_rate = ctx.ids == 0
-                          ? 0.0
-                          : static_cast<double>(ctx.hits) /
-                                static_cast<double>(ctx.ids);
+    result.busy.cpu_busy_seconds = cpu_busy * inv_iters;
+    result.busy.gpu_busy_seconds = gpu_busy * inv_iters;
+    result.hit_rate = ids == 0 ? 0.0
+                               : static_cast<double>(hits) /
+                                     static_cast<double>(ids);
     // Cached rows plus ~16 B of HitMap metadata per dynamic slot.
     result.gpu_bytes =
         static_cast<double>(cached_rows_) * model_.trace.num_tables *

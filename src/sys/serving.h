@@ -14,18 +14,29 @@
  * the system reports p50/p99/p999 request latency and queue depth in
  * RunResult::serving next to the usual throughput metrics.
  *
- * The simulation is driven by sim::EventQueue in virtual time:
+ * Which requests share a batch depends only on the pre-drawn
+ * arrivals, the drops, `batch_max` and `budget_us` -- never on how
+ * busy the server is -- so a run is three passes in virtual time, with
+ * no event loop:
  *
- *   arrival   each request's arrival event enqueues it and schedules
- *             the next arrival (data::ArrivalProcess)
- *   admission a batch dispatches when it reaches `batch_max` requests
- *             OR when the oldest queued request has waited
- *             `latency_budget` seconds (a deadline event armed when
- *             the queue goes nonempty)
- *   dispatch  the admitted batch is classified against the GPU tier,
- *             missed rows are gathered on the host PS and shipped
- *             over PCIe, and the DLRM forward pass runs on the GPU;
- *             the (single, FIFO) server serializes batches
+ *   admission   one loop draws each arrival (data::ArrivalProcess),
+ *               checks the serve.request.drop fault point and samples
+ *               the queue depth. A batch closes when it holds
+ *               `batch_max` requests or at its deadline, `budget_us`
+ *               after its oldest request arrived. Tie rule: when the
+ *               deadline equals an arrival time, the request right
+ *               after the oldest one still joins the batch and any
+ *               later request starts the next one (the order of an
+ *               event queue firing equal times in scheduling order)
+ *   tier replay each table's GPU tier replays that table's IDs in
+ *               dispatch order; tables fan out over
+ *               common::parallelFor and write integer per-batch hit
+ *               counts, so results are bit-identical at any pool width
+ *   service     one loop over the batches in order: the single FIFO
+ *               server starts a batch at max(admit time, when it
+ *               frees up), and its service time covers the GPU-tier
+ *               probe, the host gather of missed rows, PCIe and the
+ *               DLRM forward pass
  *
  * Request -> ID mapping: request r plays sample r % batch_size of
  * trace batch r / batch_size, so the serving stream reuses the exact

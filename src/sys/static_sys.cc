@@ -96,25 +96,13 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
         total_hits += hits;
         total_ids += hits + misses;
 
-        // [Query]: IDs up, missed IDs back.
-        emb::Traffic probe;
-        probe.dense_read_bytes = n_total * 16.0; // hash-table probes
-        const double t_query =
-            latency_.pcieTime(n_total * sizeof(uint64_t)) +
-            latency_.gpuMemTime(probe) +
-            latency_.pcieTime(static_cast<double>(misses) *
-                              sizeof(uint64_t));
+        // [Query], then missed embeddings + dense inputs up.
+        const CacheTransferTimes transfer =
+            cacheTransferTimes(latency_, model_, n_total, misses, batch);
 
         const double t_cpu_fwd =
             latency_.cpuTime(cpu_fwd, CpuPath::Framework) +
             hw.cpu_stage_overhead;
-
-        // Missed embeddings + dense inputs up.
-        const double h2d_bytes =
-            static_cast<double>(misses) * rb +
-            static_cast<double>(batch) * (trace.dense_features + 1) *
-                sizeof(float);
-        const double t_h2d = latency_.pcieTime(h2d_bytes);
 
         const double flops =
             nn::dlrmIterationFlops(model_.dlrmConfig(), batch);
@@ -130,11 +118,13 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
             latency_.cpuTime(cpu_bwd, CpuPath::Framework) +
             hw.cpu_stage_overhead;
 
+        const double t_gpu = transfer.query + transfer.miss_upload +
+                             t_gpu_train + t_d2h;
         total_fwd += t_cpu_fwd;
         total_bwd += t_cpu_bwd;
-        total_gpu += t_query + t_h2d + t_gpu_train + t_d2h;
+        total_gpu += t_gpu;
         cpu_busy += t_cpu_fwd + t_cpu_bwd;
-        gpu_busy += t_query + t_h2d + t_gpu_train + t_d2h;
+        gpu_busy += t_gpu;
     }
 
     const double inv = 1.0 / static_cast<double>(iterations);

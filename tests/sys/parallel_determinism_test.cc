@@ -3,11 +3,11 @@
  * Determinism guarantees of the parallel simulation engine.
  *
  * Every parallel site (trace generation, per-batch statistics,
- * per-table [Plan] fan-out, pooled runAll) must be bit-identical to
- * its serial counterpart: batch k is an independent seeded stream and
- * slot i is written by call i only. These tests pin that contract --
- * a sweep run with --jobs N must serialise to exactly the same JSON
- * as --jobs 1.
+ * per-table [Plan] fan-out, serving's per-table tier replay, pooled
+ * runAll) must be bit-identical to its serial counterpart: batch k is
+ * an independent seeded stream and slot i is written by call i only.
+ * These tests pin that contract -- a sweep run with --jobs N must
+ * serialise to exactly the same JSON as --jobs 1.
  */
 
 #include <gtest/gtest.h>
@@ -249,9 +249,9 @@ TEST(ParallelDeterminism, ServingSweepJsonBitIdenticalAcrossJobs)
     // The serving system joins the determinism matrix: its SLO
     // percentiles (p50/p99/p999), queue depths and every other
     // serving field must be byte-for-byte identical between --jobs 1
-    // and --jobs 4 for a fixed seed -- the event-driven server, the
-    // arrival stream and the dynamic GPU tier are pure functions of
-    // (spec, model, seed), never of scheduling.
+    // and --jobs 4 for a fixed seed -- admission, the arrival stream
+    // and the dynamic GPU tier are pure functions of (spec, model,
+    // seed), never of scheduling.
     if (common::ThreadPool::global().size() < 4)
         common::ThreadPool::setGlobalThreads(4);
     const auto servingSweepJson = [](uint32_t jobs) {
@@ -273,6 +273,34 @@ TEST(ParallelDeterminism, ServingSweepJsonBitIdenticalAcrossJobs)
     const std::string serial = servingSweepJson(1);
     EXPECT_NE(serial.find("\"p999\""), std::string::npos);
     EXPECT_EQ(serial, servingSweepJson(4));
+}
+
+TEST(ParallelDeterminism, ServingTierReplayBitIdenticalAcrossPoolWidths)
+{
+    // jobs only caps runAll's fan-out; serve replays its per-table GPU
+    // tiers on the global pool. With jobs 1 on both sides, pool width
+    // 1 replays the tables serially and width 4 concurrently, and the
+    // JSON must not tell them apart.
+    const size_t width = common::ThreadPool::global().size();
+    const auto servingJson = [](size_t threads) {
+        common::ThreadPool::setGlobalThreads(threads);
+        ExperimentOptions options;
+        options.iterations = 4;
+        options.warmup = 2;
+        options.jobs = 1;
+        const ExperimentRunner runner(testModel(), kHw, options);
+        return toJson(runner.runAll(
+            {SystemSpec::parse("serve:rate=400000,refresh=lru"),
+             SystemSpec::parse("serve:rate=400000,refresh=lfu"),
+             SystemSpec::parse("serve:rate=400000,refresh=random"),
+             SystemSpec::parse(
+                 "serve:arrival=bursty,rate=250000,burst_x=4,"
+                 "burst_on_us=250,burst_off_us=2000,refresh=lru")}));
+    };
+    const std::string serial = servingJson(1);
+    const std::string pooled = servingJson(4);
+    common::ThreadPool::setGlobalThreads(width);
+    EXPECT_EQ(serial, pooled);
 }
 
 TEST(ParallelDeterminism, AutoShardWidthBitIdentical)

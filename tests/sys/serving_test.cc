@@ -2,8 +2,8 @@
  * @file
  * Tests for the online serving system: spec grammar round-trips,
  * SLO percentile ordering and exactness, admission semantics
- * (batch_max vs latency budget), static vs dynamic GPU-tier refresh,
- * determinism, and option validation.
+ * (batch_max vs latency budget, deadline ties), static vs dynamic
+ * GPU-tier refresh, determinism, and option validation.
  */
 
 #include <gtest/gtest.h>
@@ -153,6 +153,26 @@ TEST(Serving, ZeroBudgetServesEveryRequestAlone)
         runServe("serve:rate=200000,batch_max=64,budget_us=0", model);
     EXPECT_EQ(result.serving.mean_batch_fill, 1.0);
     EXPECT_EQ(result.serving.batches, result.serving.requests);
+}
+
+TEST(Serving, DeadlineTiesKeepTheNextArrivalOnly)
+{
+    // rate=262144 spaces arrivals exactly 2^-18 s apart, and each
+    // budget below is a whole number of gaps, so every deadline lands
+    // exactly on an arrival time. One gap: the deadline ties the next
+    // arrival, which still joins the batch. Two gaps: it ties the one
+    // after, and the batch closes first. Either way batches hold two.
+    const ModelConfig model = servingModel();
+    for (const char *budget : {"3.814697265625", "7.62939453125"}) {
+        const RunResult result = runServe(
+            std::string("serve:arrival=uniform,rate=262144,batch_max=16,"
+                        "budget_us=") +
+                budget,
+            model);
+        EXPECT_EQ(result.serving.mean_batch_fill, 2.0) << budget;
+        EXPECT_EQ(2 * result.serving.batches, result.serving.requests)
+            << budget;
+    }
 }
 
 TEST(Serving, BudgetBoundsQueueingDelayUnderLightLoad)

@@ -41,9 +41,8 @@ main()
     constexpr uint64_t kHeldOut = 20;
     data::TraceDataset dataset(model.trace, kTrainIters + kHeldOut);
 
-    sys::FunctionalScratchPipeTrainer::Options options;
-    options.cache_fraction = 0.30;
-    sys::FunctionalScratchPipeTrainer trainer(model, options);
+    sys::FunctionalScratchPipeTrainer trainer(model,
+                                              {.cache_fraction = 0.30});
 
     std::printf("training CTR model: 6 tables x %llu rows, batch %zu, "
                 "High locality\n",

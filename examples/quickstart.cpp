@@ -29,7 +29,7 @@ main()
 
     // ---- 2. Train with ScratchPipe; check against the reference ---
     sys::FunctionalScratchPipeTrainer scratchpipe(
-        model, sys::FunctionalScratchPipeTrainer::Options{});
+        model, sys::ScratchPipeOptions{.cache_fraction = 0.25});
     const auto sp_run = scratchpipe.train(dataset, kIterations);
 
     sys::FunctionalHybridTrainer reference(model);

@@ -33,8 +33,12 @@ main()
     config.seed = 555;
     const std::string path = "/tmp/scratchpipe_example_trace.bin";
     {
-        data::TraceDataset recorded(config, 30);
-        recorded.save(path);
+        const data::TraceDataset recorded(config, 30);
+        const Status saved = recorded.saveTo(path);
+        if (!saved.ok()) {
+            std::fprintf(stderr, "%s\n", saved.toString().c_str());
+            return 1;
+        }
         std::printf("recorded 30 mini-batches to %s\n", path.c_str());
     }
 

@@ -1,11 +1,11 @@
 #include "common/args.h"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/spec_number.h"
 
 namespace sp
 {
@@ -80,30 +80,20 @@ ArgParser::parse(int argc, const char *const *argv)
                         " expects a value");
                 value = argv[++i];
             }
+            // The option grammar's reader (spec_number.h): digits only
+            // for integers, so a negative count never wraps when a
+            // driver casts it to unsigned; finite decimals for doubles.
             if (flag.kind == Kind::Int) {
-                char *end = nullptr;
-                errno = 0;
-                std::strtoll(value.c_str(), &end, 10);
-                fatalIf(end == value.c_str() || *end != '\0', "flag --",
-                        token, " expects an integer, got '", value, "'");
-                // strtoll clamps out-of-range input to LLONG_MIN/MAX
-                // and only reports it via errno; accepting the clamp
-                // would silently turn a typo into a huge value.
-                fatalIf(errno == ERANGE, "flag --", token,
-                        " value '", value, "' overflows a 64-bit int");
-            } else if (flag.kind == Kind::Double) {
-                char *end = nullptr;
-                errno = 0;
-                const double parsed = std::strtod(value.c_str(), &end);
-                fatalIf(end == value.c_str() || *end != '\0', "flag --",
-                        token, " expects a number, got '", value, "'");
-                // ERANGE alone also covers harmless underflow to a
-                // subnormal; only the overflow clamp to +/-HUGE_VAL
-                // loses the user's value.
-                fatalIf(errno == ERANGE &&
-                            (parsed == HUGE_VAL || parsed == -HUGE_VAL),
+                uint64_t parsed = 0;
+                common::OptionValue(parsed).read("command line",
+                                                 "--" + token, value);
+                fatalIf(parsed > std::numeric_limits<int64_t>::max(),
                         "flag --", token, " value '", value,
-                        "' overflows a double");
+                        "' overflows a 64-bit int");
+            } else if (flag.kind == Kind::Double) {
+                double parsed = 0.0;
+                common::OptionValue(parsed).read("command line",
+                                                 "--" + token, value);
             }
             flag.value = value;
         }
@@ -161,8 +151,6 @@ uint32_t
 parseJobsArg(const ArgParser &args, const std::string &name)
 {
     const int64_t jobs = args.getInt(name);
-    fatalIf(jobs < 0, "--", name, " must be >= 0 (0 = all cores), got ",
-            jobs);
     fatalIf(jobs > kMaxJobs, "--", name, " must be <= ", kMaxJobs,
             ", got ", jobs);
     return static_cast<uint32_t>(jobs);

@@ -39,8 +39,9 @@ class ArgParser
 
     /**
      * Parse argv. fatal() on unknown flags, missing values or
-     * malformed numbers. Returns false (after printing usage) when
-     * --help was requested.
+     * malformed numbers: integers take decimal digits only (no sign),
+     * doubles a finite decimal. Returns false (after printing usage)
+     * when --help was requested.
      */
     bool parse(int argc, const char *const *argv);
 
@@ -85,10 +86,10 @@ inline constexpr int64_t kMaxJobs = 4096;
 
 /**
  * Validated accessor for a --jobs-style integer flag: the value must
- * lie in [0, kMaxJobs] (0 = all cores). fatal() with a usage hint on
- * negative or absurd widths, which would otherwise wrap into a
- * many-terathread pool request. Every driver's --jobs goes through
- * here so the bound is enforced in exactly one place.
+ * lie in [0, kMaxJobs] (0 = all cores; parse() already rejects
+ * negatives). fatal() with a usage hint on absurd widths, which would
+ * otherwise request a many-terathread pool. Every driver's --jobs goes
+ * through here so the bound is enforced in exactly one place.
  */
 uint32_t parseJobsArg(const ArgParser &args,
                       const std::string &name = "jobs");

@@ -183,8 +183,8 @@ sites()
 {
     static const std::vector<SiteInfo> registry = {
         {"dataset.load.read",
-         "load returns Truncated/Corrupt; TraceStore treats the entry "
-         "as a miss and regenerates"},
+         "the read of the file throws StatusError; TraceStore treats "
+         "the entry as a miss and regenerates"},
         {"dataset.replay.open",
          "replay throws StatusError (NotFound/Truncated/Corrupt); the "
          "driver reports the unusable replay file and exits via the "
@@ -211,8 +211,8 @@ sites()
         {"trace_store.publish.save",
          "the temp file is unlinked; the run degrades to uncached"},
         {"trace_view.mmap",
-         "open throws StatusError(IoError); TraceStore regenerates "
-         "the dataset eagerly"},
+         "open throws StatusError(IoError); TraceStore treats the "
+         "entry as a miss and regenerates"},
     };
     return registry;
 }

@@ -21,8 +21,6 @@ errorCodeName(ErrorCode code)
         return "truncated";
     case ErrorCode::VersionMismatch:
         return "version-mismatch";
-    case ErrorCode::Unsupported:
-        return "unsupported";
     case ErrorCode::FaultInjected:
         return "fault-injected";
     }

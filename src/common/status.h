@@ -1,6 +1,7 @@
 /**
  * @file
- * Recoverable-error taxonomy: sp::Status / sp::Result<T>.
+ * Recoverable-error taxonomy: sp::Status and its exception carrier
+ * sp::StatusError.
  *
  * The logging layer (common/logging.h) distinguishes *who is at
  * fault*: fatal() for the user, panic() for the library. This header
@@ -12,10 +13,10 @@
  *
  * Policy, enforced by the splint `io-status` rule over src/data:
  *
- *   - environmental failure  -> return sp::Status / sp::Result<T>
- *                               (or throw StatusError from legacy
- *                               throwing wrappers); callers degrade
- *                               or surface it, never std::terminate.
+ *   - environmental failure  -> a load throws StatusError and a save
+ *                               returns sp::Status; callers catch or
+ *                               check, then degrade or surface it,
+ *                               never std::terminate.
  *   - user error             -> fatal()   (bad config, bad flags)
  *   - programmer error       -> panic()   (violated invariant; the
  *                               one thing that may stay a panic on an
@@ -23,15 +24,13 @@
  *                               splint:allow)
  *
  * Status is [[nodiscard]] and splint flags bare calls to the
- * Status-returning IO entry points (saveTo/tryLoad/tryMapped/tryOpen),
- * so an ignored environmental failure is a lint error, not a latent
- * surprise.
+ * Status-returning IO entry point (saveTo), so an ignored
+ * environmental failure is a lint error, not a latent surprise.
  */
 
 #ifndef SP_COMMON_STATUS_H
 #define SP_COMMON_STATUS_H
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -52,7 +51,6 @@ enum class ErrorCode
                      //!< interior indices)
     Truncated,       //!< file shorter than its header describes
     VersionMismatch, //!< valid trace, unsupported format version
-    Unsupported,     //!< platform lacks the facility (e.g. no mmap)
     FaultInjected,   //!< a deterministic SP_FAULT_POINT fired here
 };
 
@@ -110,70 +108,12 @@ class [[nodiscard]] Status
     std::string message_;
 };
 
-/** A value or the Status explaining why there is none. */
-template <typename T>
-class [[nodiscard]] Result
-{
-  public:
-    /** Implicit success. */
-    Result(T value) : value_(std::move(value)) {}
-
-    /** Implicit failure; `status` must not be ok. */
-    Result(Status status) : status_(std::move(status))
-    {
-        panicIf(status_.ok(), "Result constructed from an ok Status "
-                "but no value");
-    }
-
-    bool
-    ok() const
-    {
-        return status_.ok();
-    }
-
-    const Status &
-    status() const
-    {
-        return status_;
-    }
-
-    /** The value; panics when !ok() (check first -- caller bug). */
-    T &
-    value()
-    {
-        panicIf(!ok(), "Result::value() on a failed Result: ",
-                status_.toString());
-        return *value_;
-    }
-
-    const T &
-    value() const
-    {
-        panicIf(!ok(), "Result::value() on a failed Result: ",
-                status_.toString());
-        return *value_;
-    }
-
-    /** Move the value out (same precondition as value()). */
-    T
-    take() &&
-    {
-        panicIf(!ok(), "Result::take() on a failed Result: ",
-                status_.toString());
-        return std::move(*value_);
-    }
-
-  private:
-    Status status_;
-    std::optional<T> value_;
-};
-
 /**
- * Exception form of a classified failure, for the legacy throwing
- * wrappers (TraceDataset::load, TraceView::open, ...). Derives
- * FatalError so every existing `catch (const FatalError &)` recovery
- * site keeps working while new code can catch StatusError and read
- * the taxonomy instead of parsing message strings.
+ * Exception form of a classified failure, thrown by the loads
+ * (TraceDataset::load, TraceView::open, ...). Derives FatalError so
+ * every `catch (const FatalError &)` recovery site keeps working while
+ * code that degrades catches StatusError and reads the taxonomy
+ * instead of parsing message strings.
  */
 class StatusError : public FatalError
 {

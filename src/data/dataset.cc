@@ -2,65 +2,42 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/trace_format.h"
 
 namespace sp::data
 {
 
 TraceDataset::TraceDataset(const TraceConfig &config, uint64_t num_batches)
-    : config_(config), generator_(config)
+    : TraceDataset(TraceView::generate(config, num_batches))
 {
-    fatalIf(num_batches == 0, "dataset needs at least one batch");
-    // Each batch is an independent seeded stream (deterministic per
-    // index, see trace.h), so generation parallelises with
-    // bit-identical results: worker i only writes batches_[i].
-    batches_.resize(num_batches);
-    common::parallelFor(num_batches, [this](size_t i) {
-        batches_[i] = generator_.makeBatch(i);
-    });
 }
 
-TraceDataset::TraceDataset(const TraceConfig &config,
-                           std::vector<MiniBatch> batches)
-    : config_(config), generator_(config), batches_(std::move(batches))
-{
-    fatalIf(batches_.empty(), "dataset needs at least one batch");
-}
-
-TraceDataset::TraceDataset(std::shared_ptr<TraceView> view,
+TraceDataset::TraceDataset(std::shared_ptr<const TraceView> view,
                            uint64_t max_batches)
-    : config_(view->config()), generator_(view->config()),
-      view_(std::move(view))
+    : generator_(view->config()), view_(std::move(view))
 {
     const uint64_t num_batches =
         max_batches == 0
             ? view_->numBatches()
             : std::min<uint64_t>(max_batches, view_->numBatches());
-    // Warm start: no ID bytes move -- each batch is a handful of spans
-    // into the mapping, built in O(num_tables) per batch. Reading the
-    // index word does fault in one page per batch; that is deliberate:
-    // an entry with scribbled interior indices must be detected here,
-    // where TraceStore can still classify it as a miss and regenerate,
-    // not as a panic in the middle of a simulation.
-    batches_.resize(num_batches);
+    // No ID bytes move -- each batch is a span into the view, built in
+    // O(1). Reading the index word does fault in one page per batch of
+    // a mapping; that is deliberate: an entry with scribbled interior
+    // indices must be detected here, where TraceStore can still
+    // classify it as a miss and regenerate, not as a panic in the
+    // middle of a simulation.
+    batches_.reserve(num_batches);
     for (uint64_t b = 0; b < num_batches; ++b) {
-        MiniBatch &batch = batches_[b];
-        batch.index = view_->batchIndex(b);
-        failIf(batch.index != b, ErrorCode::Corrupt, "'",
-               view_->path(), "' stores batch index ", batch.index,
-               " at position ", b, "; the file is corrupt");
-        batch.batch_size = config_.batch_size;
-        batch.lookups_per_table = config_.lookups_per_table;
-        batch.table_views.resize(config_.num_tables);
-        for (size_t t = 0; t < config_.num_tables; ++t)
-            batch.table_views[t] = view_->ids(b, t);
+        batches_.push_back(MiniBatch::fromRecord(view_->record(b), config()));
+        failIf(batches_.back().index != b, ErrorCode::Corrupt, "'",
+               view_->path(), "' stores batch index ",
+               batches_.back().index, " at position ", b,
+               "; the file is corrupt");
     }
 }
 
@@ -124,18 +101,12 @@ TraceDataset::saveTo(const std::string &path) const
         return writeFailure(path, "opening");
 
     try {
-        format::writeHeader(os, config_,
-                            static_cast<uint64_t>(batches_.size()));
-        for (const auto &batch : batches_) {
+        format::writeHeader(os, config(), numBatches());
+        for (uint64_t b = 0; b < numBatches(); ++b) {
             SP_FAULT_POINT("dataset.save.write");
-            os.write(reinterpret_cast<const char *>(&batch.index),
-                     sizeof(batch.index));
-            for (size_t t = 0; t < batch.numTables(); ++t) {
-                const auto ids = batch.ids(t);
-                os.write(reinterpret_cast<const char *>(ids.data()),
-                         static_cast<std::streamsize>(
-                             ids.size() * sizeof(uint64_t)));
-            }
+            const auto record = view_->record(b);
+            os.write(reinterpret_cast<const char *>(record.data()),
+                     static_cast<std::streamsize>(record.size_bytes()));
         }
     } catch (const StatusError &e) {
         return e.status();
@@ -152,74 +123,10 @@ TraceDataset::saveTo(const std::string &path) const
     return sp::Status();
 }
 
-void
-TraceDataset::save(const std::string &path) const
-{
-    const sp::Status status = saveTo(path);
-    if (!status.ok())
-        throw StatusError(status);
-}
-
 TraceDataset
 TraceDataset::load(const std::string &path, uint64_t max_batches)
 {
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    failIf(!is,
-           errno == ENOENT ? ErrorCode::NotFound : ErrorCode::IoError,
-           "cannot open '", path, "' for reading");
-
-    const format::TraceFileHeader header = format::readHeader(is, path);
-    is.seekg(0, std::ios::end);
-    const uint64_t file_bytes = static_cast<uint64_t>(is.tellg());
-    is.seekg(static_cast<std::streamoff>(
-        format::headerBytes(header.config)));
-    format::validateHeader(header, file_bytes, path);
-
-    const TraceConfig &config = header.config;
-    const uint64_t num_batches =
-        max_batches == 0
-            ? header.num_batches
-            : std::min<uint64_t>(max_batches, header.num_batches);
-    std::vector<MiniBatch> batches;
-    batches.reserve(num_batches);
-    const size_t ids_per_table = config.idsPerTable();
-    for (uint64_t b = 0; b < num_batches; ++b) {
-        MiniBatch batch;
-        SP_FAULT_POINT("dataset.load.read");
-        is.read(reinterpret_cast<char *>(&batch.index),
-                sizeof(batch.index));
-        batch.batch_size = config.batch_size;
-        batch.lookups_per_table = config.lookups_per_table;
-        batch.table_ids.resize(config.num_tables);
-        for (auto &ids : batch.table_ids) {
-            ids.resize(ids_per_table);
-            is.read(reinterpret_cast<char *>(ids.data()),
-                    static_cast<std::streamsize>(ids.size() *
-                                                 sizeof(uint64_t)));
-        }
-        // Per-batch check so truncation fails at the cut, not after
-        // looping num_batches times over a dead stream.
-        failIf(!is, ErrorCode::Truncated, "'", path,
-               "' is truncated at batch ", b, " of ", num_batches);
-        failIf(batch.index != b, ErrorCode::Corrupt, "'", path,
-               "' stores batch index ", batch.index, " at position ",
-               b, "; the file is corrupt");
-        batches.push_back(std::move(batch));
-    }
-    return TraceDataset(config, std::move(batches));
-}
-
-sp::Result<TraceDataset>
-TraceDataset::tryLoad(const std::string &path, uint64_t max_batches)
-{
-    try {
-        return TraceDataset::load(path, max_batches);
-    } catch (const StatusError &e) {
-        return e.status();
-    } catch (const FatalError &e) {
-        return Status::error(ErrorCode::IoError, e.what());
-    }
+    return TraceDataset(TraceView::open(path, false), max_batches);
 }
 
 TraceDataset
@@ -233,36 +140,9 @@ TraceDataset::replay(const std::string &path, uint64_t max_batches)
 {
     // Replay adapter: the file's embedded config drives the run, so a
     // recorded trace flows through every system and harness exactly
-    // like a generated one. Zero-copy mmap when the platform has it,
-    // eager load otherwise.
+    // like a generated one.
     SP_FAULT_POINT("dataset.replay.open");
-    if (TraceView::supported())
-        return mapped(path, max_batches);
-    return load(path, max_batches);
-}
-
-sp::Result<TraceDataset>
-TraceDataset::tryReplay(const std::string &path, uint64_t max_batches)
-{
-    try {
-        return TraceDataset::replay(path, max_batches);
-    } catch (const StatusError &e) {
-        return e.status();
-    } catch (const FatalError &e) {
-        return Status::error(ErrorCode::IoError, e.what());
-    }
-}
-
-sp::Result<TraceDataset>
-TraceDataset::tryMapped(const std::string &path, uint64_t max_batches)
-{
-    try {
-        return TraceDataset::mapped(path, max_batches);
-    } catch (const StatusError &e) {
-        return e.status();
-    } catch (const FatalError &e) {
-        return Status::error(ErrorCode::IoError, e.what());
-    }
+    return mapped(path, max_batches);
 }
 
 } // namespace sp::data

@@ -2,7 +2,7 @@
  * @file
  * Materialised training dataset with look-ahead.
  *
- * TraceDataset owns a window of pre-generated mini-batches and exposes
+ * TraceDataset serves a window of pre-recorded mini-batches and exposes
  * the capability the paper builds on: any consumer may inspect not only
  * the current mini-batch's sparse IDs but those of *future* batches
  * (the dataset is recorded ahead of time). The ScratchPipe [Plan] stage
@@ -11,10 +11,10 @@
  *
  * Datasets can be saved to and loaded from a compact binary format so
  * experiments can be re-run on the exact same trace (trace_format.h).
- * Two load paths exist: load() eagerly deserialises into owned
- * vectors, while mapped() wraps an mmap'd TraceView and serves every
- * batch zero-copy out of the file mapping -- the warm-start path the
- * content-addressed TraceStore prefers.
+ * Whatever the source -- the generator, one read of a file (load()) or
+ * a file mapping (mapped()) -- the batches are spans into one TraceView
+ * holding the file's record layout, shared by every copy of the
+ * dataset.
  */
 
 #ifndef SP_DATA_DATASET_H
@@ -39,19 +39,15 @@ class TraceDataset
     /** Generate `num_batches` mini-batches from `config`. */
     TraceDataset(const TraceConfig &config, uint64_t num_batches);
 
-    /** Construct from pre-built batches (used by the loader). */
-    TraceDataset(const TraceConfig &config,
-                 std::vector<MiniBatch> batches);
-
     /**
-     * Serve batches zero-copy from an opened view. With `max_batches`
-     * != 0 only the first min(max_batches, view batches) batches are
-     * exposed (a longer cached trace serves any prefix).
+     * Serve the batches of `view`. With `max_batches` != 0 only the
+     * first min(max_batches, view batches) batches are exposed (a
+     * longer cached trace serves any prefix).
      */
-    explicit TraceDataset(std::shared_ptr<TraceView> view,
+    explicit TraceDataset(std::shared_ptr<const TraceView> view,
                           uint64_t max_batches = 0);
 
-    const TraceConfig &config() const { return config_; }
+    const TraceConfig &config() const { return generator_.config(); }
     uint64_t numBatches() const { return batches_.size(); }
 
     /** The mini-batch at position `index` (0-based). */
@@ -71,66 +67,48 @@ class TraceDataset
     tensor::Matrix labels(uint64_t index) const;
 
     /**
-     * Serialise to a binary file. Environmental failures -- including
-     * short writes only detected at the final flush/close, which must
-     * never publish a silently truncated file -- come back as a
-     * classified Status (NoSpace when the disk filled, IoError
-     * otherwise). Never throws for I/O trouble.
+     * Serialise to a binary file: the header, then each record as
+     * stored. Environmental failures -- including short writes only
+     * detected at the final flush/close, which must never publish a
+     * silently truncated file -- come back as a classified Status
+     * (NoSpace when the disk filled, IoError otherwise). Never throws
+     * for I/O trouble.
      */
     sp::Status saveTo(const std::string &path) const;
 
-    /** saveTo(), but throwing StatusError on failure (legacy callers). */
-    void save(const std::string &path) const;
-
     /**
-     * Eagerly load a dataset previously written by save(). With
-     * `max_batches` != 0, stop after that many batches (prefix load).
+     * Load a dataset previously written by saveTo() with one read of
+     * the file. With `max_batches` != 0, serve only that prefix.
      * Throws StatusError classifying the failure (NotFound/Truncated/
      * Corrupt/VersionMismatch/IoError).
      */
     static TraceDataset load(const std::string &path,
                              uint64_t max_batches = 0);
 
-    /** load() with the failure as a Result instead of an exception. */
-    static sp::Result<TraceDataset> tryLoad(const std::string &path,
-                                            uint64_t max_batches = 0);
-
     /**
-     * mmap-backed load: batches are served straight from the file
-     * mapping (see TraceView). Throws StatusError where load() would,
-     * and with code Unsupported when the platform has no mmap --
-     * callers wanting a fallback check TraceView::supported() first.
+     * load(), but serving batches straight from a file mapping where
+     * the platform supports mmap (see TraceView).
      */
     static TraceDataset mapped(const std::string &path,
                                uint64_t max_batches = 0);
 
-    /** mapped() with the failure as a Result instead of an exception. */
-    static sp::Result<TraceDataset> tryMapped(const std::string &path,
-                                              uint64_t max_batches = 0);
-
     /**
      * Replay adapter: ingest an externally recorded trace file whose
-     * embedded config drives the run (mmap-backed when the platform
-     * supports it, eager otherwise). Throws StatusError classifying
-     * the failure exactly like load()/mapped().
+     * embedded config drives the run. Throws StatusError classifying
+     * the failure exactly like mapped().
      */
     static TraceDataset replay(const std::string &path,
                                uint64_t max_batches = 0);
 
-    /** replay() with the failure as a Result instead of an exception. */
-    static sp::Result<TraceDataset> tryReplay(const std::string &path,
-                                              uint64_t max_batches = 0);
-
-    /** True when batches are served from an mmap'd view. */
-    bool isMapped() const { return view_ != nullptr; }
+    /** True when batches are served from a file mapping. */
+    bool isMapped() const { return view_->mapped(); }
 
   private:
-    TraceConfig config_;
     TraceGenerator generator_;
+    // Owns the records every batch points into; shared so copies of
+    // the dataset share one buffer.
+    std::shared_ptr<const TraceView> view_;
     std::vector<MiniBatch> batches_;
-    // Keeps the mapping alive for view-backed batches; shared so the
-    // dataset stays movable/copyable.
-    std::shared_ptr<TraceView> view_;
 };
 
 } // namespace sp::data

@@ -99,21 +99,24 @@ TraceConfig::fingerprint() const
     return std::string(hex, 16);
 }
 
+MiniBatch
+MiniBatch::fromRecord(std::span<const uint64_t> record,
+                      const TraceConfig &config)
+{
+    MiniBatch batch;
+    batch.index = record[0];
+    batch.batch_size = config.batch_size;
+    batch.lookups_per_table = config.lookups_per_table;
+    batch.all_ids = record.subspan(1);
+    return batch;
+}
+
 bool
 MiniBatch::idsEqual(const MiniBatch &other) const
 {
-    if (index != other.index || batch_size != other.batch_size ||
-        lookups_per_table != other.lookups_per_table ||
-        numTables() != other.numTables())
-        return false;
-    for (size_t t = 0; t < numTables(); ++t) {
-        const auto mine = ids(t);
-        const auto theirs = other.ids(t);
-        if (!std::equal(mine.begin(), mine.end(), theirs.begin(),
-                        theirs.end()))
-            return false;
-    }
-    return true;
+    return index == other.index && batch_size == other.batch_size &&
+           lookups_per_table == other.lookups_per_table &&
+           std::ranges::equal(all_ids, other.all_ids);
 }
 
 TraceGenerator::TraceGenerator(const TraceConfig &config) : config_(config)
@@ -158,36 +161,39 @@ TraceGenerator::streamSeed(uint64_t stream_kind, uint64_t table,
     return h;
 }
 
-MiniBatch
-TraceGenerator::makeBatch(uint64_t index) const
+void
+TraceGenerator::writeRecord(uint64_t index,
+                            std::span<uint64_t> record) const
 {
-    MiniBatch batch;
-    batch.index = index;
-    batch.batch_size = config_.batch_size;
-    batch.lookups_per_table = config_.lookups_per_table;
-    batch.table_ids.resize(config_.num_tables);
-
+    record[0] = index;
     const size_t ids_per_table = config_.idsPerTable();
     const bool stationary = config_.workload.stationary();
     for (size_t t = 0; t < config_.num_tables; ++t) {
         tensor::Rng rng(streamSeed(kStreamIds, t, index));
-        auto &ids = batch.table_ids[t];
-        ids.resize(ids_per_table);
+        const auto ids = record.subspan(1 + t * ids_per_table,
+                                        ids_per_table);
         if (stationary) {
             // Classic path: byte-identical to the pre-workload
             // generator (the shaper would reproduce it, but skipping
             // construction keeps the hot path allocation-free).
-            for (size_t i = 0; i < ids_per_table; ++i)
-                ids[i] = samplers_[t].sample(rng);
+            for (uint64_t &id : ids)
+                id = samplers_[t].sample(rng);
         } else {
             WorkloadShaper shaper(config_.workload, config_.seed,
                                   config_.rows_per_table,
                                   tableExponent(t), t, index);
-            for (size_t i = 0; i < ids_per_table; ++i)
-                ids[i] = shaper.sample(rng);
+            for (uint64_t &id : ids)
+                id = shaper.sample(rng);
         }
     }
-    return batch;
+}
+
+std::vector<uint64_t>
+TraceGenerator::makeRecord(uint64_t index) const
+{
+    std::vector<uint64_t> record(config_.recordWords());
+    writeRecord(index, record);
+    return record;
 }
 
 tensor::Matrix
@@ -208,7 +214,8 @@ TraceGenerator::makeLabels(uint64_t index) const
     // through the embedding tables). The label is a Bernoulli draw on
     // the sigmoid of the combined score, so training has real signal
     // to extract along both paths.
-    const MiniBatch batch = makeBatch(index);
+    const std::vector<uint64_t> record = makeRecord(index);
+    const MiniBatch batch = MiniBatch::fromRecord(record, config_);
     const tensor::Matrix dense = makeDenseFeatures(index);
     tensor::Rng rng(streamSeed(kStreamLabel, 0, index));
     tensor::Matrix labels(config_.batch_size, 1);

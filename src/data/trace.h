@@ -59,6 +59,9 @@ struct TraceConfig
     size_t idsPerTable() const { return batch_size * lookups_per_table; }
     /** Sparse IDs per mini-batch across all tables. */
     size_t idsPerBatch() const { return idsPerTable() * num_tables; }
+    /** Words in one batch record (trace_format.h): the index word,
+     *  then every table's IDs. */
+    size_t recordWords() const { return 1 + idsPerBatch(); }
 
     /** Field-by-field equality (the cache's poison guard). */
     bool operator==(const TraceConfig &other) const = default;
@@ -76,12 +79,11 @@ struct TraceConfig
 /**
  * One mini-batch of sparse IDs: the unit the pipeline operates on.
  *
- * A batch is backed in one of two ways: the generator path owns its
- * IDs in `table_ids`, while an mmap-backed dataset (trace_view.h)
- * fills `table_views` with spans straight into the file mapping and
- * leaves `table_ids` empty -- no deserialisation, no copies. Consumers
- * read through ids()/numTables(), which serve either backing; only the
- * generator and the eager loader touch `table_ids` directly.
+ * A batch is a view of its record in the trace layout (trace_format.h):
+ * one span over every table's IDs, table after table, inside the
+ * buffer a TraceView owns -- a file mapping, a buffer read from the
+ * file, or the generator's buffer. Nothing is copied; ids(t) is
+ * arithmetic on the span.
  */
 struct MiniBatch
 {
@@ -90,29 +92,28 @@ struct MiniBatch
     size_t batch_size = 0;
     size_t lookups_per_table = 0;
     /**
-     * table_ids[t] holds batch_size * lookups_per_table row IDs for
-     * table t; the IDs for sample i are the contiguous slice
-     * [i*L, (i+1)*L). Empty for view-backed batches.
+     * batch_size * lookups_per_table row IDs per table, tables back to
+     * back; the IDs for sample i of a table are the contiguous slice
+     * [i*L, (i+1)*L) of its run.
      */
-    std::vector<std::vector<uint64_t>> table_ids;
-    /** Zero-copy backing: spans into an mmap'd trace file. */
-    std::vector<std::span<const uint64_t>> table_views;
+    std::span<const uint64_t> all_ids;
 
-    size_t numTables() const
-    {
-        return table_views.empty() ? table_ids.size()
-                                   : table_views.size();
-    }
+    /** The batch stored in `record` (index word, then the IDs) under
+     *  `config`'s geometry. */
+    static MiniBatch fromRecord(std::span<const uint64_t> record,
+                                const TraceConfig &config);
 
-    /** Table t's row IDs, whichever backing holds them. */
+    size_t idsPerTable() const { return batch_size * lookups_per_table; }
+
+    size_t numTables() const { return all_ids.size() / idsPerTable(); }
+
+    /** Table t's row IDs. */
     std::span<const uint64_t> ids(size_t t) const
     {
-        return table_views.empty()
-                   ? std::span<const uint64_t>(table_ids[t])
-                   : table_views[t];
+        return all_ids.subspan(t * idsPerTable(), idsPerTable());
     }
 
-    /** Element-wise ID equality across backings (tests, validation). */
+    /** Index, geometry and ID equality (tests, validation). */
     bool idsEqual(const MiniBatch &other) const;
 };
 
@@ -124,8 +125,15 @@ class TraceGenerator
 
     const TraceConfig &config() const { return config_; }
 
-    /** Materialise mini-batch `index` (deterministic per index). */
-    MiniBatch makeBatch(uint64_t index) const;
+    /**
+     * Write batch `index`'s record (deterministic per index): the
+     * index word, then every table's IDs. `record` holds
+     * config().recordWords() words.
+     */
+    void writeRecord(uint64_t index, std::span<uint64_t> record) const;
+
+    /** writeRecord() into a fresh buffer. */
+    std::vector<uint64_t> makeRecord(uint64_t index) const;
 
     /**
      * Dense features for batch `index`: batch_size x dense_features,

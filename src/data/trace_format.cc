@@ -1,7 +1,6 @@
 #include "data/trace_format.h"
 
 #include <cstring>
-#include <istream>
 #include <ostream>
 
 #include "common/status.h"
@@ -28,15 +27,10 @@ writePod(std::ostream &os, const T &value)
     os.write(reinterpret_cast<const char *>(&value), sizeof(T));
 }
 
-/** Sequential reader over either a stream or a memory range, so the
- *  two header parsers share one field order. */
+/** Sequential reader over the header bytes. */
 class Cursor
 {
   public:
-    explicit Cursor(std::istream &is, const std::string &path)
-        : is_(&is), path_(path)
-    {
-    }
     Cursor(const unsigned char *data, uint64_t size,
            const std::string &path)
         : data_(data), size_(size), path_(path)
@@ -47,32 +41,28 @@ class Cursor
     T
     next()
     {
+        failIf(offset_ + sizeof(T) > size_, ErrorCode::Truncated, "'",
+               path_, "' is truncated inside the trace header");
         T value{};
-        if (is_ != nullptr) {
-            is_->read(reinterpret_cast<char *>(&value), sizeof(T));
-            failIf(!*is_, ErrorCode::Truncated, "'", path_,
-                   "' is truncated inside the trace header");
-        } else {
-            failIf(offset_ + sizeof(T) > size_, ErrorCode::Truncated,
-                   "'", path_,
-                   "' is truncated inside the trace header");
-            std::memcpy(&value, data_ + offset_, sizeof(T));
-            offset_ += sizeof(T);
-        }
+        std::memcpy(&value, data_ + offset_, sizeof(T));
+        offset_ += sizeof(T);
         return value;
     }
 
   private:
-    std::istream *is_ = nullptr;
-    const unsigned char *data_ = nullptr;
-    uint64_t size_ = 0;
+    const unsigned char *data_;
+    uint64_t size_;
     uint64_t offset_ = 0;
     const std::string &path_;
 };
 
+} // namespace
+
 TraceFileHeader
-readHeaderFields(Cursor &cursor, const std::string &path)
+parseHeader(const unsigned char *data, uint64_t size,
+            const std::string &path)
 {
+    Cursor cursor(data, size, path);
     const uint64_t magic = cursor.next<uint64_t>();
     const uint32_t version = cursor.next<uint32_t>();
     failIf(magic != kMagic, ErrorCode::Corrupt, "'", path,
@@ -120,8 +110,6 @@ readHeaderFields(Cursor &cursor, const std::string &path)
     return header;
 }
 
-} // namespace
-
 uint64_t
 headerBytes(const TraceConfig &config)
 {
@@ -135,17 +123,7 @@ headerBytes(const TraceConfig &config)
 uint64_t
 batchRecordBytes(const TraceConfig &config)
 {
-    return 8 + sizeof(uint64_t) *
-                   static_cast<uint64_t>(config.num_tables) *
-                   static_cast<uint64_t>(config.idsPerTable());
-}
-
-uint64_t
-idsOffset(const TraceConfig &config, uint64_t b, uint64_t t)
-{
-    return headerBytes(config) + b * batchRecordBytes(config) + 8 +
-           t * sizeof(uint64_t) *
-               static_cast<uint64_t>(config.idsPerTable());
+    return sizeof(uint64_t) * config.recordWords();
 }
 
 void
@@ -176,21 +154,6 @@ writeHeader(std::ostream &os, const TraceConfig &config,
     for (const double exponent : config.per_table_exponents)
         writePod(os, exponent);
     writePod(os, num_batches);
-}
-
-TraceFileHeader
-readHeader(std::istream &is, const std::string &path)
-{
-    Cursor cursor(is, path);
-    return readHeaderFields(cursor, path);
-}
-
-TraceFileHeader
-parseHeader(const unsigned char *data, uint64_t size,
-            const std::string &path)
-{
-    Cursor cursor(data, size, path);
-    return readHeaderFields(cursor, path);
 }
 
 void

@@ -2,8 +2,11 @@
  * @file
  * On-disk trace format (internal to src/data).
  *
- * One header codec shared by the eager loader (dataset.cc), the mmap
- * view (trace_view.cc) and the writer, so the three can never drift.
+ * One header codec shared by the reader (trace_view.cc) and the writer
+ * (dataset.cc), so the two can never drift. The record layout below is
+ * also the in-memory form of every trace: a generated trace is a
+ * buffer of these records, and a read or mapped file is served in
+ * place.
  *
  * Layout (version 3; all fields native-endian, written raw):
  *
@@ -73,28 +76,22 @@ uint64_t headerBytes(const TraceConfig &config);
 /** Size of one batch record: index word + the ID payload. */
 uint64_t batchRecordBytes(const TraceConfig &config);
 
-/** Byte offset of table `t`'s IDs inside batch `b`'s record. */
-uint64_t idsOffset(const TraceConfig &config, uint64_t b, uint64_t t);
-
 /** Write the v3 header. The caller checks stream state. */
 void writeHeader(std::ostream &os, const TraceConfig &config,
                  uint64_t num_batches);
 
 /**
- * Read and validate a header from a stream positioned at byte 0.
- * fatal() (mentioning `path`) on short reads, bad magic, unsupported
- * versions, or semantically impossible field values.
+ * Decode the header at the start of the file bytes [data, data +
+ * size). Throws StatusError (mentioning `path`) on a short header, bad
+ * magic or an unsupported version.
  */
-TraceFileHeader readHeader(std::istream &is, const std::string &path);
-
-/** Same validation over an in-memory byte range (the mmap path). */
 TraceFileHeader parseHeader(const unsigned char *data, uint64_t size,
                             const std::string &path);
 
 /**
- * Semantic header validation shared by both readers: field sanity
- * bounds (also overflow guards for the record-size arithmetic) and a
- * batch count that exactly matches `file_bytes`. fatal() on violation.
+ * Semantic header validation: field sanity bounds (also overflow
+ * guards for the record-size arithmetic) and a batch count that
+ * exactly matches `file_bytes`. Throws StatusError on violation.
  */
 void validateHeader(const TraceFileHeader &header, uint64_t file_bytes,
                     const std::string &path);

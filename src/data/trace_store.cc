@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <system_error>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/status.h"
-#include "data/trace_format.h"
 #include "data/trace_view.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -80,13 +78,6 @@ tempSuffix()
            std::to_string(sequence.fetch_add(1));
 }
 
-/**
- * Cheap header peek: does the current entry at `path` already hold a
- * valid trace for `config` covering at least `num_batches`? Used to
- * avoid replacing a longer published entry with a shorter one when
- * publishers race with different batch counts (the shorter file would
- * silently defeat every later warm start).
- */
 /** Rename attempts per publish (first try + retries with backoff). */
 constexpr int kRenameAttempts = 3;
 
@@ -121,21 +112,21 @@ class TempFileGuard
     bool committed_ = false;
 };
 
+/**
+ * Cheap header peek: does the current entry at `path` already hold a
+ * valid trace for `config` covering at least `num_batches`? Used to
+ * avoid replacing a longer published entry with a shorter one when
+ * publishers race with different batch counts (the shorter file would
+ * silently defeat every later warm start).
+ */
 bool
 entryCovers(const TraceConfig &config, uint64_t num_batches,
             const std::string &path)
 {
     try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return false;
-        const format::TraceFileHeader header =
-            format::readHeader(is, path);
-        is.seekg(0, std::ios::end);
-        format::validateHeader(
-            header, static_cast<uint64_t>(is.tellg()), path);
-        return header.config == config &&
-               header.num_batches >= num_batches;
+        const auto view = TraceView::open(path);
+        return view->config() == config &&
+               view->numBatches() >= num_batches;
     } catch (const FatalError &) {
         return false;
     }
@@ -160,21 +151,17 @@ TraceStore::entryPath(const TraceConfig &config) const
 }
 
 std::optional<TraceDataset>
-TraceStore::tryLoad(const TraceConfig &config, uint64_t num_batches,
-                    const std::string &path, bool *mapped,
-                    sp::Status *load_status) const
+TraceStore::loadEntry(const TraceConfig &config, uint64_t num_batches,
+                      const std::string &path,
+                      sp::Status *load_status) const
 {
     std::error_code ec;
     if (!fs::exists(path, ec) || ec)
         return std::nullopt;
     try {
         SP_FAULT_POINT("trace_store.load");
-        const bool use_view = use_mmap_ && TraceView::supported();
-        TraceDataset dataset = use_view
-                                   ? TraceDataset::mapped(path,
-                                                          num_batches)
-                                   : TraceDataset::load(path,
-                                                        num_batches);
+        TraceDataset dataset(TraceView::open(path, use_mmap_),
+                             num_batches);
         // Poison guard: the fingerprint addressed the file, but the
         // *full* config must match field-by-field -- a hash collision
         // or a stale hand-edited entry must read as a miss, never as
@@ -193,7 +180,6 @@ TraceStore::tryLoad(const TraceConfig &config, uint64_t num_batches,
                 "'" + path + "' holds fewer batches than requested");
             return std::nullopt;
         }
-        *mapped = use_view;
         return dataset;
     } catch (const StatusError &error) {
         // Truncated/corrupt/unmappable entry: treat as a classified
@@ -275,14 +261,12 @@ TraceStore::acquire(const TraceConfig &config, uint64_t num_batches,
     fatalIf(num_batches == 0, "dataset needs at least one batch");
     const std::string path = entryPath(config);
 
-    bool mapped = false;
     sp::Status load_status;
-    if (auto cached =
-            tryLoad(config, num_batches, path, &mapped, &load_status)) {
+    if (auto cached = loadEntry(config, num_batches, path, &load_status)) {
         if (info != nullptr) {
             *info = AcquireInfo();
             info->cache_hit = true;
-            info->mapped = mapped;
+            info->mapped = cached->isMapped();
         }
         return std::move(*cached);
     }

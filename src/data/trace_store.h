@@ -8,8 +8,8 @@
  * under a cache directory (SP_TRACE_CACHE, default `.sp-trace-cache/`)
  * so the first driver pays generation once and every later run --
  * any process, any driver -- warm-starts with an mmap plus header
- * validation (TraceView), falling back to the eager loader where mmap
- * is unavailable.
+ * validation (TraceView), falling back to one read of the file where
+ * mmap is unavailable.
  *
  * Guarantees:
  *  - Atomic publication: entries are written to a temp file and
@@ -108,11 +108,10 @@ class TraceStore
     static bool cacheEnabled();
 
   private:
-    std::optional<TraceDataset> tryLoad(const TraceConfig &config,
-                                        uint64_t num_batches,
-                                        const std::string &path,
-                                        bool *mapped,
-                                        sp::Status *load_status) const;
+    std::optional<TraceDataset> loadEntry(const TraceConfig &config,
+                                          uint64_t num_batches,
+                                          const std::string &path,
+                                          sp::Status *load_status) const;
     sp::Status publish(const TraceDataset &dataset,
                        const std::string &path) const;
 

@@ -1,18 +1,22 @@
 /**
  * @file
- * Zero-copy mmap view over a serialised trace file.
+ * The records of one trace, in the on-disk layout.
  *
- * A TraceView maps a v3 trace file (see trace_format.h) read-only into
- * the address space and serves any (batch, table) ID slice as a span
- * pointing straight into the mapping -- warm-starting a paper-scale
- * sweep costs one mmap plus header validation instead of regenerating
- * (or even rereading) gigabytes of IDs. The header is fully validated
- * at open() time, including an exact file-size check, so a span handed
- * out later can never run off the mapping.
+ * A TraceView owns a trace's batch records laid out exactly as in a v3
+ * trace file (see trace_format.h) and serves each one as a span. The
+ * records come from one of three sources:
  *
- * Platforms without POSIX mmap report supported() == false and open()
- * fails; callers (TraceStore, TraceDataset::mapped) fall back to the
- * eager loader.
+ *  - an mmap of the file (read-only): warm-starting a paper-scale
+ *    sweep costs one mmap plus header validation instead of
+ *    regenerating (or even rereading) gigabytes of IDs;
+ *  - a heap buffer filled by one read of the file, where mmap is not
+ *    wanted or the platform has none;
+ *  - a heap buffer the generator fills on the pool, batch b into
+ *    record b.
+ *
+ * A file's header is fully validated when it is opened, including an
+ * exact file-size check, so a span handed out later can never run off
+ * the buffer.
  */
 
 #ifndef SP_DATA_TRACE_VIEW_H
@@ -23,13 +27,12 @@
 #include <span>
 #include <string>
 
-#include "common/status.h"
 #include "data/trace.h"
 
 namespace sp::data
 {
 
-/** Read-only mmap over one trace file; immutable once opened. */
+/** Immutable batch records of one trace. */
 class TraceView
 {
   public:
@@ -37,39 +40,48 @@ class TraceView
     static bool supported();
 
     /**
-     * Map `path` and validate its header. Throws StatusError
-     * classifying the failure: NotFound (missing file), Corrupt /
-     * Truncated / VersionMismatch (validation), IoError (stat/mmap),
-     * Unsupported (platform without mmap).
+     * Open `path` and validate its header: mapped when `use_mmap` and
+     * the platform supports it, read into memory otherwise. Throws
+     * StatusError classifying the failure: NotFound (missing file),
+     * Corrupt / Truncated / VersionMismatch (validation), IoError
+     * (stat/mmap/read).
      */
-    static std::shared_ptr<TraceView> open(const std::string &path);
+    static std::shared_ptr<const TraceView> open(const std::string &path,
+                                                 bool use_mmap = true);
 
-    /** open() with the failure as a Result instead of an exception. */
-    static sp::Result<std::shared_ptr<TraceView>>
-    tryOpen(const std::string &path);
+    /** Generate batches [0, num_batches) of `config` on the pool. */
+    static std::shared_ptr<const TraceView>
+    generate(const TraceConfig &config, uint64_t num_batches);
 
     ~TraceView();
     TraceView(const TraceView &) = delete;
     TraceView &operator=(const TraceView &) = delete;
 
+    /** The file the records came from (empty when generated). */
     const std::string &path() const { return path_; }
     const TraceConfig &config() const { return config_; }
     uint64_t numBatches() const { return num_batches_; }
+    /** True when the records are a file mapping. */
+    bool mapped() const { return mapping_ != nullptr; }
 
-    /** The index recorded for batch `b` (equals b in a valid file). */
-    uint64_t batchIndex(uint64_t b) const;
-
-    /** Table `t`'s IDs for batch `b`: a span into the mapping. */
-    std::span<const uint64_t> ids(uint64_t b, uint64_t t) const;
+    /** Batch `b`'s record: its index word, then every table's IDs. */
+    std::span<const uint64_t> record(uint64_t b) const;
 
   private:
     TraceView() = default;
 
+    /** Validate the file bytes [data, data + size) and serve the
+     *  records that follow the header. */
+    void adoptFile(const unsigned char *data, uint64_t size);
+
     std::string path_;
     TraceConfig config_;
     uint64_t num_batches_ = 0;
-    const unsigned char *data_ = nullptr;
-    uint64_t size_ = 0;
+    const uint64_t *records_ = nullptr;
+    // One of the two owns the bytes records_ points into.
+    std::unique_ptr<uint64_t[]> buffer_;
+    void *mapping_ = nullptr;
+    uint64_t mapping_bytes_ = 0;
 };
 
 } // namespace sp::data

@@ -120,10 +120,10 @@ struct WorkloadSpec
 /**
  * Per-(table, batch) shaping state: resolves the schedule position,
  * the effective exponent, the churn permutation and the burst window
- * once, then shapes each sampled ID. Constructed inside makeBatch for
+ * once, then shapes each sampled ID. Constructed inside writeRecord for
  * every non-stationary (table, batch) pair -- construction is O(1)
  * except for the O(churn_k) permutation, and holds no shared state,
- * so concurrent makeBatch calls stay safe.
+ * so concurrent writeRecord calls stay safe.
  */
 class WorkloadShaper
 {

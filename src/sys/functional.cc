@@ -299,26 +299,20 @@ FunctionalStaticCacheTrainer::hitRate() const
 // ---------------------------------------------------------------------
 
 FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
-    const ModelConfig &config, const Options &options)
+    const ModelConfig &config, const ScratchPipeOptions &options)
     : config_(config), options_(options), tables_(makeDenseTables(config)),
       state_tables_(makeStateTables(config)),
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    ScratchPipeOptions scratchpad;
-    scratchpad.cache_fraction = options.cache_fraction;
-    scratchpad.pipelined = options.pipelined;
-    scratchpad.policy = options.policy;
-    scratchpad.past_window = options.past_window;
-    scratchpad.future_window = options.future_window;
-    scratchpad.enforce_capacity_bound = options.enforce_capacity_bound;
+    fatalIf(options.gpus != 1,
+            "the functional ScratchPipe trainer runs on one GPU, got "
+            "gpus=", options.gpus);
     // Warm start pre-fills phantom Storage only: dense Storage would
     // hold no values for the pre-resident rows.
-    scratchpad.warm_start = false;
-    scratchpad.plan_shards = options.plan_shards;
-    scratchpad.probe = options.probe;
+    options_.warm_start = false;
     controllers_ = makeScratchpadControllers(
-        config_, scratchpad, cache::SlotArray::Backing::Dense);
+        config_, options_, cache::SlotArray::Backing::Dense);
     if (config_.optimizer == Optimizer::AdaGrad) {
         // Optimizer state is slot-aligned with the scratchpad: the
         // accumulator of a resident row lives at the row's slot.
@@ -531,7 +525,7 @@ FunctionalScratchPipeTrainer::train(const data::TraceDataset &dataset,
     fatalIf(iterations > dataset.numBatches(),
             "dataset has only ", dataset.numBatches(), " batches");
     FunctionalRunResult result;
-    auditing_ = options_.audit && options_.pipelined;
+    auditing_ = options_.pipelined;
 
     if (options_.pipelined) {
         // Stage schedule: batch b is planned at cycle b, collected at

@@ -34,6 +34,7 @@
 #include "data/dataset.h"
 #include "emb/embedding_table.h"
 #include "nn/dlrm.h"
+#include "sys/scratchpipe_sys.h"
 #include "sys/system_config.h"
 
 namespace sp::sys
@@ -139,36 +140,14 @@ class FunctionalStaticCacheTrainer
 class FunctionalScratchPipeTrainer
 {
   public:
-    struct Options
-    {
-        /** Scratchpad capacity as a fraction of each table. */
-        double cache_fraction = 0.25;
-        /** Six-stage pipeline (true) or sequential straw-man. */
-        bool pipelined = true;
-        cache::PolicyKind policy = cache::PolicyKind::Lru;
-        uint32_t past_window = 3;
-        uint32_t future_window = 2;
-        /** Grow capacity to the §VI-D worst-case bound. */
-        bool enforce_capacity_bound = true;
-        /** Run the per-cycle hazard auditor (pipelined mode only). */
-        bool audit = true;
-        /**
-         * Mark-pass probe shards per controller (see
-         * ControllerConfig::plan_shards); 0 = one shard per pool
-         * thread, matching the shard= spec key. Engine knob only:
-         * training results are bit-identical at any width.
-         */
-        uint32_t plan_shards = 1;
-        /**
-         * Batched Hit-Map probe kernel (ControllerConfig::probe),
-         * matching the probe= spec key. Engine knob only: every
-         * kernel is bit-identical.
-         */
-        cache::ProbeMode probe = cache::ProbeMode::Auto;
-    };
-
+    /**
+     * `options` configure the scratchpad as for ScratchPipeSystem.
+     * warm_start is forced off (dense Storage would hold no values for
+     * pre-resident rows), gpus must be 1, and the per-cycle hazard
+     * auditor runs whenever the trainer is pipelined.
+     */
     FunctionalScratchPipeTrainer(const ModelConfig &config,
-                                 const Options &options);
+                                 const ScratchPipeOptions &options);
 
     /**
      * Train and then flush all resident rows back into the CPU
@@ -220,7 +199,7 @@ class FunctionalScratchPipeTrainer
                     FunctionalRunResult &result);
 
     ModelConfig config_;
-    Options options_;
+    ScratchPipeOptions options_;
     std::vector<emb::EmbeddingTable> tables_;
     std::vector<emb::EmbeddingTable> state_tables_;
     nn::DlrmModel model_;

@@ -30,12 +30,14 @@ StaticCacheSystem::StaticCacheSystem(const ModelConfig &model,
 
 RunResult
 StaticCacheSystem::simulate(const data::TraceDataset &dataset,
-                            const BatchStats & /*stats*/,
+                            const BatchStats &stats,
                             uint64_t iterations, uint64_t warmup) const
 {
     fatalIf(iterations == 0, "need at least one iteration");
     fatalIf(warmup + iterations > dataset.numBatches(),
             "dataset has only ", dataset.numBatches(), " batches");
+    fatalIf(warmup + iterations > stats.iterations(), "stats cover only ",
+            stats.iterations(), " batches");
 
     const auto &hw = latency_.config();
     const auto &trace = model_.trace;
@@ -50,7 +52,7 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
 
     // The static cache never changes contents, so warm-up batches are
     // simply skipped.
-    std::vector<uint64_t> subset, unique_scratch;
+    std::vector<uint64_t> hit_ids, unique_scratch;
     for (uint64_t i = warmup; i < warmup + iterations; ++i) {
         const auto &mini = dataset.batch(i);
 
@@ -58,27 +60,21 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
         emb::Traffic cpu_fwd, cpu_bwd, gpu_emb;
         for (size_t t = 0; t < trace.num_tables; ++t) {
             const auto ids = mini.ids(t);
-            subset.clear();
-            uint64_t table_hits = 0;
+            hit_ids.clear();
             for (uint64_t id : ids) {
                 if (id < cached_rows_)
-                    ++table_hits;
-                else
-                    subset.push_back(id);
+                    hit_ids.push_back(id);
             }
+            const uint64_t table_hits = hit_ids.size();
             const uint64_t table_misses = ids.size() - table_hits;
             hits += table_hits;
             misses += table_misses;
 
             // Unique counts within the hit/miss partitions size the
-            // coalesced scatters.
-            const size_t u_miss = emb::countUnique(subset, unique_scratch);
-            subset.clear();
-            for (uint64_t id : ids) {
-                if (id < cached_rows_)
-                    subset.push_back(id);
-            }
-            const size_t u_hit = emb::countUnique(subset, unique_scratch);
+            // coalesced scatters. The partition splits the batch's
+            // unique IDs too, so the miss side is what the hits leave.
+            const size_t u_hit = emb::countUnique(hit_ids, unique_scratch);
+            const size_t u_miss = stats.unique(i, t) - u_hit;
 
             // CPU side: gather missed rows, and the full missed-ID
             // backward (duplicate + coalesce + scatter).

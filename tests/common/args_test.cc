@@ -54,10 +54,14 @@ TEST(Args, SpaceSeparatedValues)
 TEST(Args, EqualsSeparatedValues)
 {
     ArgParser args = makeParser();
-    EXPECT_TRUE(parse(args, {"--name=bob", "--count=-3", "--rate=2e-3"}));
+    EXPECT_TRUE(parse(args, {"--name=bob", "--count=3", "--rate=-2e-3"}));
     EXPECT_EQ(args.getString("name"), "bob");
-    EXPECT_EQ(args.getInt("count"), -3);
-    EXPECT_DOUBLE_EQ(args.getDouble("rate"), 2e-3);
+    EXPECT_EQ(args.getInt("count"), 3);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate"), -2e-3);
+    // Integer flags are counts: digits only, so a negative value is
+    // refused instead of wrapping when a driver casts it to unsigned.
+    ArgParser args2 = makeParser();
+    EXPECT_THROW(parse(args2, {"--count=-3"}), FatalError);
 }
 
 TEST(Args, BoolSwitchForms)
@@ -111,9 +115,8 @@ TEST(Args, TrailingGarbageNumbersFatal)
 
 TEST(Args, OverflowingNumbersFatal)
 {
-    // strtoll/strtod clamp out-of-range values and only flag them via
-    // errno; accepting the clamp would silently hand a typo'd value
-    // (e.g. an extra digit on --jobs) to the pool sizing.
+    // Accepting a clamped out-of-range value would silently hand a
+    // typo'd value (e.g. an extra digit on --jobs) to the pool sizing.
     ArgParser args = makeParser();
     EXPECT_THROW(parse(args, {"--count", "99999999999999999999"}),
                  FatalError);
@@ -122,6 +125,10 @@ TEST(Args, OverflowingNumbersFatal)
                  FatalError);
     ArgParser args3 = makeParser();
     EXPECT_THROW(parse(args3, {"--rate", "1e999"}), FatalError);
+    // Digits beyond int64: getInt() could not return them unwrapped.
+    ArgParser args5 = makeParser();
+    EXPECT_THROW(parse(args5, {"--count", "9223372036854775808"}),
+                 FatalError);
 
     // Underflow to a representable subnormal is not an error.
     ArgParser args4 = makeParser();
@@ -150,9 +157,9 @@ TEST(Args, ParseJobsAcceptsSaneWidths)
 
 TEST(Args, ParseJobsRejectsNegativeWidths)
 {
+    // Refused while parsing, like every negative integer flag.
     ArgParser args = makeJobsParser();
-    EXPECT_TRUE(parse(args, {"--jobs", "-2"}));
-    EXPECT_THROW(parseJobsArg(args), FatalError);
+    EXPECT_THROW(parse(args, {"--jobs", "-2"}), FatalError);
 }
 
 TEST(Args, ParseJobsRejectsAbsurdWidths)

@@ -139,7 +139,7 @@ TEST(CheckedInvariants, TraceViewRoundTripSatisfiesSizeInvariant)
     config.batch_size = 8;
     config.seed = 17;
     const data::TraceDataset dataset(config, 4);
-    dataset.save(path.string());
+    ASSERT_TRUE(dataset.saveTo(path.string()).ok());
 
     // open() re-derives the expected file size from the header; the
     // SP_CHECK build asserts the two agree before any ids() access.

@@ -444,14 +444,14 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
     using Scenario = void (*)();
     const std::map<std::string, Scenario> scenarios = {
         {"dataset.load.read",
-         // Read path only runs in the eager (no-mmap) tier.
+         // The read site only runs in the no-mmap tier.
          [] { loadFaultScenario("dataset.load.read", false); }},
         {"dataset.replay.open",
          [] {
-             // Replay path: an armed open surfaces through tryReplay
-             // as a classified status (the drivers' usage-error path,
-             // never a partial stream); disarmed, the same file
-             // replays data identical to the recorded dataset.
+             // Replay path: an armed open surfaces as a classified
+             // StatusError (the drivers' usage-error path, never a
+             // partial stream); disarmed, the same file replays data
+             // identical to the recorded dataset.
              const data::TraceConfig config = matrixConfig();
              const data::TraceDataset want(config, kBatches);
              const fs::path path =
@@ -460,17 +460,18 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
              ASSERT_TRUE(want.saveTo(path.string()).ok());
              {
                  FaultGuard guard("dataset.replay.open:every=1");
-                 const auto faulted = data::TraceDataset::tryReplay(
-                     path.string(), kBatches);
-                 ASSERT_FALSE(faulted.ok());
-                 EXPECT_EQ(faulted.status().code(),
-                           ErrorCode::FaultInjected);
+                 try {
+                     data::TraceDataset::replay(path.string(), kBatches);
+                     ADD_FAILURE() << "armed replay open did not throw";
+                 } catch (const StatusError &error) {
+                     EXPECT_EQ(error.status().code(),
+                               ErrorCode::FaultInjected);
+                 }
                  EXPECT_GT(firedCount("dataset.replay.open"), 0u);
              }
-             const auto clean = data::TraceDataset::tryReplay(
-                 path.string(), kBatches);
-             ASSERT_TRUE(clean.ok()) << clean.status().toString();
-             expectIdenticalData(clean.value(), want);
+             expectIdenticalData(
+                 data::TraceDataset::replay(path.string(), kBatches),
+                 want);
              fs::remove(path);
          }},
         {"dataset.save.write",

@@ -1,6 +1,6 @@
 /**
  * @file
- * The recoverable-error taxonomy (common/status.h): Status, Result,
+ * The recoverable-error taxonomy (common/status.h): Status,
  * StatusError and the failWith/failIf helpers. These types carry every
  * environmental failure in src/data, so their semantics -- what is ok,
  * what panics, what the classified message looks like -- are contract.
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 
 #include "common/status.h"
 
@@ -54,41 +53,8 @@ TEST(Status, CodeNamesAreStableKebabCase)
     EXPECT_STREQ(errorCodeName(ErrorCode::Truncated), "truncated");
     EXPECT_STREQ(errorCodeName(ErrorCode::VersionMismatch),
                  "version-mismatch");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Unsupported), "unsupported");
     EXPECT_STREQ(errorCodeName(ErrorCode::FaultInjected),
                  "fault-injected");
-}
-
-TEST(Result, HoldsValueOnSuccess)
-{
-    Result<int> result(41);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result.status().ok());
-    EXPECT_EQ(result.value(), 41);
-    result.value() = 42;
-    EXPECT_EQ(std::move(result).take(), 42);
-}
-
-TEST(Result, HoldsStatusOnFailure)
-{
-    const Result<std::string> result(
-        Status::error(ErrorCode::Truncated, "short read"));
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::Truncated);
-}
-
-TEST(Result, ValueOnFailureIsAProgrammerError)
-{
-    Result<int> result(Status::error(ErrorCode::IoError, "bad"));
-    EXPECT_THROW(result.value(), PanicError);
-    EXPECT_THROW(std::move(result).take(), PanicError);
-}
-
-TEST(Result, OkStatusWithoutAValueIsAProgrammerError)
-{
-    // The cast defeats the vexing-parse reading of the construction
-    // as a function declaration, so the temporary is really built.
-    EXPECT_THROW((void)Result<int>(Status()), PanicError);
 }
 
 TEST(StatusError, CarriesStatusAndFormatsWhat)

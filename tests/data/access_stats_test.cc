@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.h"
 #include "data/access_stats.h"
 
@@ -10,21 +12,25 @@ namespace sp::data
 namespace
 {
 
-MiniBatch
-batchWithIds(std::vector<std::vector<uint64_t>> ids)
+/** Add a one-sample batch holding `tables[t]` as table t's IDs; every
+ *  table gathers the same number of rows. */
+void
+addIds(AccessStats &stats,
+       const std::vector<std::vector<uint64_t>> &tables)
 {
-    MiniBatch batch;
-    batch.batch_size = 1;
-    batch.lookups_per_table = ids.empty() ? 0 : ids[0].size();
-    batch.table_ids = std::move(ids);
-    return batch;
+    std::vector<uint64_t> ids;
+    for (const auto &table : tables)
+        ids.insert(ids.end(), table.begin(), table.end());
+    stats.addBatch({.batch_size = 1,
+                    .lookups_per_table = tables[0].size(),
+                    .all_ids = ids});
 }
 
 TEST(AccessStats, CountsAccumulate)
 {
     AccessStats stats(1, 10);
-    stats.addBatch(batchWithIds({{1, 1, 3, 7}}));
-    stats.addBatch(batchWithIds({{1, 3, 3, 9}}));
+    addIds(stats, {{1, 1, 3, 7}});
+    addIds(stats, {{1, 3, 3, 9}});
     EXPECT_EQ(stats.counts(0)[1], 3u);
     EXPECT_EQ(stats.counts(0)[3], 3u);
     EXPECT_EQ(stats.counts(0)[7], 1u);
@@ -36,7 +42,7 @@ TEST(AccessStats, CountsAccumulate)
 TEST(AccessStats, SortedCountsDescending)
 {
     AccessStats stats(1, 5);
-    stats.addBatch(batchWithIds({{0, 0, 0, 2, 2, 4}}));
+    addIds(stats, {{0, 0, 0, 2, 2, 4}});
     const auto sorted = stats.sortedCounts(0);
     EXPECT_EQ(sorted[0], 3u);
     EXPECT_EQ(sorted[1], 2u);
@@ -49,7 +55,7 @@ TEST(AccessStats, CoverageOfTopFraction)
     AccessStats stats(1, 10);
     // Row 0: 8 accesses, rows 1..3: 1 access each -> top 10% (1 row)
     // captures 8/11.
-    stats.addBatch(batchWithIds({{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}}));
+    addIds(stats, {{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}});
     EXPECT_NEAR(stats.coverage(0, 0.1), 8.0 / 11.0, 1e-12);
     EXPECT_NEAR(stats.coverage(0, 1.0), 1.0, 1e-12);
     EXPECT_DOUBLE_EQ(stats.coverage(0, 0.0), 0.0);
@@ -58,7 +64,7 @@ TEST(AccessStats, CoverageOfTopFraction)
 TEST(AccessStats, RankedRowsHottestFirst)
 {
     AccessStats stats(1, 6);
-    stats.addBatch(batchWithIds({{5, 5, 5, 2, 2, 0}}));
+    addIds(stats, {{5, 5, 5, 2, 2, 0}});
     const auto ranked = stats.rankedRows(0);
     EXPECT_EQ(ranked[0], 5u);
     EXPECT_EQ(ranked[1], 2u);
@@ -68,7 +74,7 @@ TEST(AccessStats, RankedRowsHottestFirst)
 TEST(AccessStats, RankingTiesAreStableByRowId)
 {
     AccessStats stats(1, 4);
-    stats.addBatch(batchWithIds({{3, 1}}));
+    addIds(stats, {{3, 1}});
     const auto ranked = stats.rankedRows(0);
     // Rows 1 and 3 tie with one access; stable sort keeps 1 before 3.
     EXPECT_EQ(ranked[0], 1u);
@@ -78,16 +84,17 @@ TEST(AccessStats, RankingTiesAreStableByRowId)
 TEST(AccessStats, UniqueRows)
 {
     AccessStats stats(1, 10);
-    stats.addBatch(batchWithIds({{4, 4, 4, 8}}));
+    addIds(stats, {{4, 4, 4, 8}});
     EXPECT_EQ(stats.uniqueRows(0), 2u);
 }
 
 TEST(AccessStats, MultipleTablesIndependent)
 {
     AccessStats stats(2, 10);
-    stats.addBatch(batchWithIds({{1, 1}, {9}}));
+    addIds(stats, {{1, 1}, {9, 8}});
     EXPECT_EQ(stats.totalAccesses(0), 2u);
-    EXPECT_EQ(stats.totalAccesses(1), 1u);
+    EXPECT_EQ(stats.totalAccesses(1), 2u);
+    EXPECT_EQ(stats.counts(0)[9], 0u);
     EXPECT_EQ(stats.counts(1)[9], 1u);
     EXPECT_EQ(stats.counts(1)[1], 0u);
 }
@@ -137,7 +144,7 @@ TEST(AccessStats, HighLocalityBeatsUniformCoverage)
 TEST(AccessStats, OutOfRangeIdPanics)
 {
     AccessStats stats(1, 4);
-    EXPECT_THROW(stats.addBatch(batchWithIds({{4}})), PanicError);
+    EXPECT_THROW(addIds(stats, {{4}}), PanicError);
 }
 
 TEST(AccessStats, TableIndexChecked)

@@ -6,11 +6,15 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <unistd.h>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/trace_view.h"
 
@@ -52,6 +56,23 @@ class TempFile
     std::string path_;
 };
 
+/** Replace the file at `path` with `bytes`. */
+void
+writeBytes(const std::string &path, std::string_view bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Save `dataset` to `path` and return the file's bytes. */
+std::string
+savedBytes(const TraceDataset &dataset, const std::string &path)
+{
+    EXPECT_TRUE(dataset.saveTo(path).ok());
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), {}};
+}
+
 TEST(Dataset, HoldsRequestedBatches)
 {
     TraceDataset dataset(smallConfig(), 10);
@@ -64,8 +85,11 @@ TEST(Dataset, MatchesGeneratorOutput)
 {
     TraceDataset dataset(smallConfig(), 5);
     TraceGenerator gen(smallConfig());
-    for (uint64_t b = 0; b < 5; ++b)
-        EXPECT_EQ(dataset.batch(b).table_ids, gen.makeBatch(b).table_ids);
+    for (uint64_t b = 0; b < 5; ++b) {
+        const std::vector<uint64_t> record = gen.makeRecord(b);
+        EXPECT_TRUE(dataset.batch(b).idsEqual(
+            MiniBatch::fromRecord(record, gen.config())));
+    }
 }
 
 TEST(Dataset, LookAheadSeesFuture)
@@ -74,7 +98,7 @@ TEST(Dataset, LookAheadSeesFuture)
     const MiniBatch *ahead = dataset.lookAhead(2, 3);
     ASSERT_NE(ahead, nullptr);
     EXPECT_EQ(ahead->index, 5u);
-    EXPECT_EQ(ahead->table_ids, dataset.batch(5).table_ids);
+    EXPECT_TRUE(ahead->idsEqual(dataset.batch(5)));
 }
 
 TEST(Dataset, LookAheadZeroIsSelf)
@@ -125,16 +149,13 @@ TEST(Dataset, SaveLoadRoundTrip)
 {
     TempFile file;
     TraceDataset original(smallConfig(), 7);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
 
     const TraceDataset loaded = TraceDataset::load(file.path());
     EXPECT_EQ(loaded.numBatches(), original.numBatches());
-    EXPECT_EQ(loaded.config().num_tables, original.config().num_tables);
-    EXPECT_EQ(loaded.config().rows_per_table,
-              original.config().rows_per_table);
-    EXPECT_EQ(loaded.config().seed, original.config().seed);
+    EXPECT_TRUE(loaded.config() == original.config());
     for (uint64_t b = 0; b < original.numBatches(); ++b)
-        EXPECT_EQ(loaded.batch(b).table_ids, original.batch(b).table_ids);
+        EXPECT_TRUE(loaded.batch(b).idsEqual(original.batch(b)));
 }
 
 TEST(Dataset, LoadedDatasetReproducesLabels)
@@ -143,7 +164,7 @@ TEST(Dataset, LoadedDatasetReproducesLabels)
     // round trip.
     TempFile file;
     TraceDataset original(smallConfig(), 3);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
     const TraceDataset loaded = TraceDataset::load(file.path());
     EXPECT_TRUE(
         tensor::Matrix::identical(loaded.labels(1), original.labels(1)));
@@ -157,21 +178,16 @@ TEST(Dataset, RoundTripPreservesFullConfigAndLookAhead)
     // runs consume.
     TempFile file;
     TraceDataset original(smallConfig(), 6);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
     const TraceDataset loaded = TraceDataset::load(file.path());
 
-    EXPECT_EQ(loaded.config().lookups_per_table,
-              original.config().lookups_per_table);
-    EXPECT_EQ(loaded.config().batch_size, original.config().batch_size);
-    EXPECT_EQ(loaded.config().locality, original.config().locality);
-    EXPECT_EQ(loaded.config().dense_features,
-              original.config().dense_features);
+    EXPECT_TRUE(loaded.config() == original.config());
     for (uint64_t d = 0; d <= 6; ++d) {
         const MiniBatch *expected = original.lookAhead(1, d);
         const MiniBatch *got = loaded.lookAhead(1, d);
         ASSERT_EQ(expected == nullptr, got == nullptr) << "distance " << d;
         if (expected != nullptr) {
-            EXPECT_EQ(got->table_ids, expected->table_ids);
+            EXPECT_TRUE(got->idsEqual(*expected));
         }
     }
     EXPECT_TRUE(tensor::Matrix::identical(loaded.denseFeatures(3),
@@ -189,7 +205,7 @@ TEST(Dataset, RoundTripPreservesEveryConfigField)
     config.per_table_exponents = {0.35, 1.25};
     config.dense_features = 9;
     TraceDataset original(config, 4);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
 
     const TraceDataset loaded = TraceDataset::load(file.path());
     EXPECT_TRUE(loaded.config() == config);
@@ -201,7 +217,7 @@ TEST(Dataset, LoadHonoursMaxBatches)
 {
     TempFile file;
     TraceDataset original(smallConfig(), 7);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
     const TraceDataset prefix = TraceDataset::load(file.path(), 3);
     ASSERT_EQ(prefix.numBatches(), 3u);
     for (uint64_t b = 0; b < 3; ++b)
@@ -216,7 +232,7 @@ TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
     TraceConfig config = smallConfig();
     config.per_table_exponents = {0.6, 0.8};
     TraceDataset original(config, 6);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
 
     const TraceDataset mapped = TraceDataset::mapped(file.path());
     EXPECT_TRUE(mapped.isMapped());
@@ -224,8 +240,6 @@ TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
     ASSERT_EQ(mapped.numBatches(), 6u);
     for (uint64_t b = 0; b < 6; ++b) {
         EXPECT_TRUE(mapped.batch(b).idsEqual(original.batch(b)));
-        // Zero-copy: the view path owns no ID storage.
-        EXPECT_TRUE(mapped.batch(b).table_ids.empty());
         EXPECT_EQ(mapped.batch(b).numTables(), config.num_tables);
     }
     // Look-ahead and generator-derived streams work over the mapping.
@@ -245,7 +259,7 @@ TEST(Dataset, MappedHonoursMaxBatches)
         GTEST_SKIP() << "no mmap on this platform";
     TempFile file;
     TraceDataset original(smallConfig(), 6);
-    original.save(file.path());
+    ASSERT_TRUE(original.saveTo(file.path()).ok());
     const TraceDataset mapped = TraceDataset::mapped(file.path(), 2);
     ASSERT_EQ(mapped.numBatches(), 2u);
     EXPECT_TRUE(mapped.batch(1).idsEqual(original.batch(1)));
@@ -257,18 +271,10 @@ TEST(Dataset, MappedRejectsCorruptFiles)
     if (!TraceView::supported())
         GTEST_SKIP() << "no mmap on this platform";
     TempFile file;
-    TraceDataset original(smallConfig(), 3);
-    original.save(file.path());
-    std::ifstream is(file.path(), std::ios::binary);
-    std::string bytes(std::istreambuf_iterator<char>(is),
-                      std::istreambuf_iterator<char>{});
-    is.close();
-    {
-        std::ofstream os(file.path(),
-                         std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size() / 2));
-    }
+    const std::string bytes =
+        savedBytes(TraceDataset(smallConfig(), 3), file.path());
+    writeBytes(file.path(),
+               std::string_view(bytes).substr(0, bytes.size() / 2));
     EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
     EXPECT_THROW(TraceDataset::mapped("/nonexistent/trace.bin"),
                  FatalError);
@@ -277,32 +283,34 @@ TEST(Dataset, MappedRejectsCorruptFiles)
 TEST(Dataset, SaveToUnwritablePathFatal)
 {
     TraceDataset dataset(smallConfig(), 2);
-    EXPECT_THROW(dataset.save("/nonexistent-dir/trace.bin"),
-                 FatalError);
+    EXPECT_EQ(dataset.saveTo("/nonexistent-dir/trace.bin").code(),
+              ErrorCode::IoError);
 }
 
-std::string
-fileBytes(const std::string &path)
+TEST(Dataset, CopyOutlivesTheOriginal)
 {
-    std::ifstream is(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is),
-                       std::istreambuf_iterator<char>());
+    // Copies share the generator's buffer, which lives as long as any
+    // of them: a copy's spans must stay valid once the original is
+    // gone.
+    auto original = std::make_unique<TraceDataset>(smallConfig(), 4);
+    const TraceDataset copy = *original;
+    EXPECT_EQ(copy.batch(2).all_ids.data(),
+              original->batch(2).all_ids.data());
+    original.reset();
+    const TraceDataset fresh(smallConfig(), 4);
+    for (uint64_t b = 0; b < 4; ++b)
+        EXPECT_TRUE(copy.batch(b).idsEqual(fresh.batch(b)));
 }
 
 TEST(Dataset, LoadTruncatedBatchDataFatal)
 {
-    // A file cut mid-payload must fail loudly at the cut, not return
-    // a short dataset or spin over a dead stream.
+    // A file cut mid-payload must fail loudly, not return a short
+    // dataset.
     TempFile file;
-    TraceDataset original(smallConfig(), 7);
-    original.save(file.path());
-    const std::string bytes = fileBytes(file.path());
-    {
-        std::ofstream os(file.path(),
-                         std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(2 * bytes.size() / 3));
-    }
+    const std::string bytes =
+        savedBytes(TraceDataset(smallConfig(), 7), file.path());
+    writeBytes(file.path(),
+               std::string_view(bytes).substr(0, 2 * bytes.size() / 3));
     EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
 }
 
@@ -311,30 +319,20 @@ TEST(Dataset, LoadTruncatedHeaderFatal)
     // Valid magic + version, then the header stops: the loader must
     // not act on the garbage counts a short read leaves behind.
     TempFile file;
-    TraceDataset original(smallConfig(), 3);
-    original.save(file.path());
-    const std::string bytes = fileBytes(file.path());
-    {
-        std::ofstream os(file.path(),
-                         std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(), 20); // magic + version + half a field
-    }
+    const std::string bytes =
+        savedBytes(TraceDataset(smallConfig(), 3), file.path());
+    // magic + version + half a field
+    writeBytes(file.path(), std::string_view(bytes).substr(0, 20));
     EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadWrongVersionFatal)
 {
     TempFile file;
-    TraceDataset original(smallConfig(), 3);
-    original.save(file.path());
-    std::string bytes = fileBytes(file.path());
+    std::string bytes =
+        savedBytes(TraceDataset(smallConfig(), 3), file.path());
     bytes[8] = char(0x7f); // version field follows the 8-byte magic
-    {
-        std::ofstream os(file.path(),
-                         std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
+    writeBytes(file.path(), bytes);
     EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
 }
 
@@ -344,16 +342,10 @@ TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
     // v1 file must be rejected with a message pointing at the fix,
     // not silently loaded with a half-populated config.
     TempFile file;
-    TraceDataset original(smallConfig(), 3);
-    original.save(file.path());
-    std::string bytes = fileBytes(file.path());
+    std::string bytes =
+        savedBytes(TraceDataset(smallConfig(), 3), file.path());
     bytes[8] = char(1); // version field follows the 8-byte magic
-    {
-        std::ofstream os(file.path(),
-                         std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
+    writeBytes(file.path(), bytes);
     try {
         TraceDataset::load(file.path());
         FAIL() << "v1 file was accepted";
@@ -374,11 +366,11 @@ TEST(Dataset, LoadMissingFileFatal)
 TEST(Dataset, LoadGarbageFileFatal)
 {
     TempFile file;
-    {
-        std::ofstream os(file.path(), std::ios::binary);
-        os << "this is not a trace file at all, far too short header";
-    }
+    writeBytes(file.path(),
+               "this is not a trace file at all, far too short header");
     EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    // Nor is a directory: it must classify, not size a read buffer.
+    EXPECT_THROW(TraceDataset::load(::testing::TempDir()), StatusError);
 }
 
 TEST(Dataset, ZeroBatchesFatal)

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -160,6 +161,9 @@ TEST(TraceStore, ColdAcquireGeneratesPublishesAndWarmHits)
 
 TEST(TraceStore, MappedAndEagerHitsServeIdenticalBatches)
 {
+    // A trace's three sources -- the generator's buffer, a file
+    // mapping and one read of the file -- serve identical batches and
+    // save identical bytes.
     TempStore mapped_store("mmap_vs_eager", true);
     const TraceConfig config = smallConfig();
     const TraceDataset generated = mapped_store->acquire(config, 5);
@@ -180,6 +184,17 @@ TEST(TraceStore, MappedAndEagerHitsServeIdenticalBatches)
 
     expectDatasetsEqual(generated, via_map);
     expectDatasetsEqual(via_map, via_read);
+    // The entry itself is generated.saveTo()'s output.
+    const auto bytes = [](const fs::path &path) {
+        std::ostringstream os;
+        os << std::ifstream(path, std::ios::binary).rdbuf();
+        return os.str();
+    };
+    const fs::path copy = mapped_store.dir() / "copy.sptrace";
+    for (const TraceDataset *dataset : {&via_map, &via_read}) {
+        ASSERT_TRUE(dataset->saveTo(copy.string()).ok());
+        EXPECT_EQ(bytes(copy), bytes(mapped_store->entryPath(config)));
+    }
 }
 
 TEST(TraceStore, LongerEntryServesAnyPrefix)
@@ -391,15 +406,24 @@ TEST(TraceStore, MidFileTruncationReadsAsMissAndRegenerates)
     expectDatasetsEqual(warm, original);
 }
 
-TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
+/** The code a failing load() throws, or Ok when it loads. */
+ErrorCode
+loadFailure(const std::string &path)
+try {
+    TraceDataset::load(path);
+    return ErrorCode::Ok;
+} catch (const StatusError &error) {
+    return error.status().code();
+}
+
+TEST(TraceDataset, LoadClassifiesEnvironmentalFailures)
 {
     TempStore store("classify");
     const TraceConfig config = smallConfig();
     store->acquire(config, 3);
     const std::string path = store->entryPath(config);
 
-    EXPECT_EQ(TraceDataset::tryLoad(path + ".missing").status().code(),
-              ErrorCode::NotFound);
+    EXPECT_EQ(loadFailure(path + ".missing"), ErrorCode::NotFound);
 
     // Rewrite the u32 version field (byte offset 8) to a future
     // version: valid magic, unsupported format.
@@ -411,8 +435,7 @@ TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
         file.write(reinterpret_cast<const char *>(&bad_version),
                    sizeof(bad_version));
     }
-    EXPECT_EQ(TraceDataset::tryLoad(path).status().code(),
-              ErrorCode::VersionMismatch);
+    EXPECT_EQ(loadFailure(path), ErrorCode::VersionMismatch);
     // And the store degrades it to a regenerate, like any bad entry.
     TraceStore::AcquireInfo info;
     const TraceDataset recovered = store->acquire(config, 3, &info);
@@ -421,10 +444,8 @@ TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
     EXPECT_EQ(recovered.numBatches(), 3u);
 
     fs::resize_file(path, fs::file_size(path) - 3);
-    EXPECT_EQ(TraceDataset::tryLoad(path).status().code(),
-              ErrorCode::Truncated);
-    const Result<TraceDataset> mapped = TraceDataset::tryMapped(path);
-    EXPECT_FALSE(mapped.ok());
+    EXPECT_EQ(loadFailure(path), ErrorCode::Truncated);
+    EXPECT_THROW(TraceDataset::mapped(path), StatusError);
 }
 
 TEST(TraceStore, ExperimentRunnerServesIdenticalResultsFromCache)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.h"
 #include "data/trace.h"
 
@@ -27,22 +30,24 @@ smallConfig()
 TEST(Trace, BatchGeometry)
 {
     TraceGenerator gen(smallConfig());
-    const MiniBatch batch = gen.makeBatch(0);
+    const std::vector<uint64_t> record = gen.makeRecord(2);
+    EXPECT_EQ(record.size(), 1u + 3 * 64); // index word + 3 x 16 * 4
+    const MiniBatch batch = MiniBatch::fromRecord(record, gen.config());
+    EXPECT_EQ(batch.index, 2u);
     EXPECT_EQ(batch.numTables(), 3u);
     EXPECT_EQ(batch.batch_size, 16u);
     EXPECT_EQ(batch.lookups_per_table, 4u);
-    for (const auto &ids : batch.table_ids)
-        EXPECT_EQ(ids.size(), 64u); // 16 * 4
+    for (size_t t = 0; t < batch.numTables(); ++t)
+        EXPECT_EQ(batch.ids(t).size(), 64u);
 }
 
 TEST(Trace, IdsWithinTableRange)
 {
     TraceGenerator gen(smallConfig());
     for (uint64_t b = 0; b < 10; ++b) {
-        const MiniBatch batch = gen.makeBatch(b);
-        for (const auto &ids : batch.table_ids)
-            for (uint32_t id : ids)
-                EXPECT_LT(id, 1000u);
+        const std::vector<uint64_t> record = gen.makeRecord(b);
+        for (size_t i = 1; i < record.size(); ++i) // past the index
+            EXPECT_LT(record[i], 1000u);
     }
 }
 
@@ -50,18 +55,18 @@ TEST(Trace, DeterministicPerIndex)
 {
     TraceGenerator a(smallConfig()), b(smallConfig());
     // Generate out of order: batch 5 must not depend on history.
-    const MiniBatch b5_first = a.makeBatch(5);
-    a.makeBatch(0);
-    const MiniBatch b5_again = a.makeBatch(5);
-    const MiniBatch b5_other = b.makeBatch(5);
-    EXPECT_EQ(b5_first.table_ids, b5_again.table_ids);
-    EXPECT_EQ(b5_first.table_ids, b5_other.table_ids);
+    const std::vector<uint64_t> b5_first = a.makeRecord(5);
+    a.makeRecord(0);
+    EXPECT_EQ(b5_first, a.makeRecord(5));
+    EXPECT_EQ(b5_first, b.makeRecord(5));
 }
 
 TEST(Trace, DifferentBatchesDiffer)
 {
     TraceGenerator gen(smallConfig());
-    EXPECT_NE(gen.makeBatch(0).table_ids, gen.makeBatch(1).table_ids);
+    const std::vector<uint64_t> a = gen.makeRecord(0);
+    const std::vector<uint64_t> b = gen.makeRecord(1);
+    EXPECT_FALSE(std::equal(a.begin() + 1, a.end(), b.begin() + 1));
 }
 
 TEST(Trace, DifferentSeedsDiffer)
@@ -69,14 +74,15 @@ TEST(Trace, DifferentSeedsDiffer)
     TraceConfig other = smallConfig();
     other.seed = 12;
     TraceGenerator a(smallConfig()), b(other);
-    EXPECT_NE(a.makeBatch(0).table_ids, b.makeBatch(0).table_ids);
+    EXPECT_NE(a.makeRecord(0), b.makeRecord(0));
 }
 
 TEST(Trace, TablesHaveIndependentStreams)
 {
     TraceGenerator gen(smallConfig());
-    const MiniBatch batch = gen.makeBatch(0);
-    EXPECT_NE(batch.table_ids[0], batch.table_ids[1]);
+    const std::vector<uint64_t> record = gen.makeRecord(0);
+    const MiniBatch batch = MiniBatch::fromRecord(record, gen.config());
+    EXPECT_FALSE(std::ranges::equal(batch.ids(0), batch.ids(1)));
 }
 
 TEST(Trace, PerTableExponentOverride)

@@ -282,14 +282,12 @@ TEST(WorkloadGenerator, ShapedBatchesAreDeterministicPerSeedTableBatch)
     for (uint64_t index : {0ull, 3ull, 7ull}) {
         // Same (seed, table, batch) -> identical IDs, whatever the
         // construction order (b generates backwards).
-        EXPECT_TRUE(a.makeBatch(index).idsEqual(
-            b.makeBatch(index)))
+        EXPECT_EQ(a.makeRecord(index), b.makeRecord(index))
             << "batch " << index;
     }
     TraceConfig reseeded = config;
     reseeded.seed = 100;
-    EXPECT_FALSE(TraceGenerator(reseeded).makeBatch(0).idsEqual(
-        a.makeBatch(0)));
+    EXPECT_NE(TraceGenerator(reseeded).makeRecord(0), a.makeRecord(0));
 }
 
 TEST(WorkloadGenerator, ShapedStreamDiffersFromStationary)
@@ -297,8 +295,8 @@ TEST(WorkloadGenerator, ShapedStreamDiffersFromStationary)
     const TraceConfig shaped = shapedConfig();
     TraceConfig stationary = shaped;
     stationary.workload = WorkloadConfig{};
-    EXPECT_FALSE(TraceGenerator(shaped).makeBatch(0).idsEqual(
-        TraceGenerator(stationary).makeBatch(0)));
+    EXPECT_NE(TraceGenerator(shaped).makeRecord(0),
+              TraceGenerator(stationary).makeRecord(0));
 }
 
 // ---- The 64-bit regression -----------------------------------------
@@ -318,8 +316,8 @@ TEST(WorkloadGenerator, HugeTableGeometryKeepsIdsUnwrapped)
     config.per_table_exponents = {0.0}; // uniform
     config.seed = 11;
     const TraceGenerator generator(config);
-    const MiniBatch batch = generator.makeBatch(0);
-    const auto ids = batch.ids(0);
+    const std::vector<uint64_t> record = generator.makeRecord(0);
+    const auto ids = MiniBatch::fromRecord(record, config).ids(0);
     uint64_t above_boundary = 0;
     cache::HitMap map;
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -361,6 +359,16 @@ class ReplayTest : public ::testing::Test
     }
     void TearDown() override { fs::remove(path_); }
 
+    /** The code replay() throws, or Ok when the file replays. */
+    ErrorCode
+    replayFailure(uint64_t max_batches) const
+    try {
+        TraceDataset::replay(path_, max_batches);
+        return ErrorCode::Ok;
+    } catch (const StatusError &error) {
+        return error.status().code();
+    }
+
     std::string path_;
 };
 
@@ -384,9 +392,7 @@ TEST_F(ReplayTest, GenerateSaveReplayMatchesDirectGeneration)
 
 TEST_F(ReplayTest, MissingFileClassifiesAsNotFound)
 {
-    const auto result = TraceDataset::tryReplay(path_, 2);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::NotFound);
+    EXPECT_EQ(replayFailure(2), ErrorCode::NotFound);
 }
 
 TEST_F(ReplayTest, TruncatedFileClassifiesThroughTheStatusPath)
@@ -396,10 +402,7 @@ TEST_F(ReplayTest, TruncatedFileClassifiesThroughTheStatusPath)
     const auto full_size = fs::file_size(path_);
     fs::resize_file(path_, full_size - full_size / 3);
 
-    const auto result = TraceDataset::tryReplay(path_, 3);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::Truncated)
-        << result.status().toString();
+    EXPECT_EQ(replayFailure(3), ErrorCode::Truncated);
 }
 
 TEST_F(ReplayTest, CorruptMagicClassifiesAsCorrupt)
@@ -413,10 +416,7 @@ TEST_F(ReplayTest, CorruptMagicClassifiesAsCorrupt)
         file.seekp(0);
         file.write("BADMAGIC", 8);
     }
-    const auto result = TraceDataset::tryReplay(path_, 2);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::Corrupt)
-        << result.status().toString();
+    EXPECT_EQ(replayFailure(2), ErrorCode::Corrupt);
 }
 
 } // namespace

@@ -87,7 +87,7 @@ TEST(AdaGradPipeline, ScratchPipeMatchesHybridBitForBit)
 
     FunctionalHybridTrainer hybrid(model);
     FunctionalScratchPipeTrainer scratchpipe(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     const auto r_hybrid = hybrid.train(dataset, 14);
     const auto r_sp = scratchpipe.train(dataset, 14);
 
@@ -110,9 +110,8 @@ TEST(AdaGradPipeline, StrawmanMatchesToo)
     data::TraceDataset dataset(model.trace, 12);
 
     FunctionalHybridTrainer hybrid(model);
-    FunctionalScratchPipeTrainer::Options options;
-    options.pipelined = false;
-    FunctionalScratchPipeTrainer strawman(model, options);
+    FunctionalScratchPipeTrainer strawman(
+        model, {.cache_fraction = 0.25, .pipelined = false});
     hybrid.train(dataset, 12);
     strawman.train(dataset, 12);
 

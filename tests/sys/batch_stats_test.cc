@@ -30,7 +30,7 @@ TEST(BatchStats, MatchesDirectCount)
     for (uint64_t b = 0; b < 5; ++b) {
         for (size_t t = 0; t < 3; ++t) {
             EXPECT_EQ(stats.unique(b, t),
-                      emb::countUnique(dataset.batch(b).table_ids[t]));
+                      emb::countUnique(dataset.batch(b).ids(t)));
         }
     }
 }

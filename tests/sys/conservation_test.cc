@@ -35,7 +35,7 @@ TEST(Conservation, ResidencyEqualsFillsMinusEvictions)
     const ModelConfig model = functionalModel(71);
     data::TraceDataset dataset(model.trace, 25);
     FunctionalScratchPipeTrainer trainer(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     trainer.train(dataset, 25);
 
     // Every fill adds one resident row, every eviction removes one:
@@ -55,7 +55,7 @@ TEST(Conservation, FlushedModelHasNoNansOrExplosions)
     const ModelConfig model = functionalModel(73);
     data::TraceDataset dataset(model.trace, 30);
     FunctionalScratchPipeTrainer trainer(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     trainer.train(dataset, 30);
 
     for (const auto &table : trainer.tables()) {
@@ -85,13 +85,13 @@ TEST(Conservation, UntouchedRowsNeverChange)
     for (uint64_t b = 0; b < 15; ++b) {
         const auto &batch = dataset.batch(b);
         for (size_t t = 0; t < batch.numTables(); ++t)
-            for (uint32_t id : batch.table_ids[t])
+            for (uint32_t id : batch.ids(t))
                 touched[t][id] = true;
     }
 
     const auto initial = makeDenseTables(model);
     FunctionalScratchPipeTrainer trainer(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     trainer.train(dataset, 15);
 
     for (size_t t = 0; t < model.trace.num_tables; ++t) {
@@ -117,13 +117,13 @@ TEST(Conservation, TouchedRowsDoChange)
     const auto initial = makeDenseTables(model);
 
     FunctionalScratchPipeTrainer trainer(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     trainer.train(dataset, 10);
 
     const auto &batch = dataset.batch(0);
     size_t changed = 0, checked = 0;
     for (size_t t = 0; t < model.trace.num_tables; ++t) {
-        for (uint32_t id : emb::uniqueIds(batch.table_ids[t])) {
+        for (uint32_t id : emb::uniqueIds(batch.ids(t))) {
             ++checked;
             if (!tensor::Matrix::identical(
                     [&] {
@@ -158,10 +158,9 @@ TEST_P(WindowGeometries, WiderWindowsStayHazardFreeAndEquivalent)
     data::TraceDataset dataset(model.trace, 15);
 
     FunctionalHybridTrainer reference(model);
-    FunctionalScratchPipeTrainer::Options options;
-    options.past_window = past;
-    options.future_window = future;
-    FunctionalScratchPipeTrainer trainer(model, options);
+    FunctionalScratchPipeTrainer trainer(model, {.cache_fraction = 0.25,
+                                                 .past_window = past,
+                                                 .future_window = future});
 
     reference.train(dataset, 15);
     EXPECT_NO_THROW(trainer.train(dataset, 15));

@@ -82,9 +82,8 @@ TEST(FunctionalEquivalence, StrawmanMatchesHybrid)
     data::TraceDataset dataset(model.trace, kIterations);
 
     FunctionalHybridTrainer hybrid(model);
-    FunctionalScratchPipeTrainer::Options options;
-    options.pipelined = false;
-    FunctionalScratchPipeTrainer strawman(model, options);
+    FunctionalScratchPipeTrainer strawman(
+        model, {.cache_fraction = 0.25, .pipelined = false});
     const auto r_hybrid = hybrid.train(dataset, kIterations);
     const auto r_straw = strawman.train(dataset, kIterations);
 
@@ -101,7 +100,7 @@ TEST(FunctionalEquivalence, PipelinedScratchPipeMatchesHybrid)
 
     FunctionalHybridTrainer hybrid(model);
     FunctionalScratchPipeTrainer scratchpipe(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     const auto r_hybrid = hybrid.train(dataset, kIterations);
     const auto r_sp = scratchpipe.train(dataset, kIterations);
 
@@ -126,11 +125,10 @@ TEST_P(EquivalenceAcrossLocalities, AllFourSystemsAgree)
 
     FunctionalHybridTrainer hybrid(model);
     FunctionalStaticCacheTrainer cached(model, 0.05);
-    FunctionalScratchPipeTrainer::Options straw_options;
-    straw_options.pipelined = false;
-    FunctionalScratchPipeTrainer strawman(model, straw_options);
+    FunctionalScratchPipeTrainer strawman(
+        model, {.cache_fraction = 0.25, .pipelined = false});
     FunctionalScratchPipeTrainer scratchpipe(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
 
     const auto r = hybrid.train(dataset, kIterations);
     cached.train(dataset, kIterations);
@@ -165,9 +163,8 @@ TEST_P(EquivalenceAcrossPolicies, PolicyChoiceNeverChangesTheMath)
     data::TraceDataset dataset(model.trace, kIterations);
 
     FunctionalHybridTrainer hybrid(model);
-    FunctionalScratchPipeTrainer::Options options;
-    options.policy = GetParam();
-    FunctionalScratchPipeTrainer scratchpipe(model, options);
+    FunctionalScratchPipeTrainer scratchpipe(
+        model, {.cache_fraction = 0.25, .policy = GetParam()});
 
     const auto r_hybrid = hybrid.train(dataset, kIterations);
     const auto r_sp = scratchpipe.train(dataset, kIterations);

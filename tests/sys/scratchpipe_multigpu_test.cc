@@ -175,10 +175,17 @@ TEST(ScratchPipeMultiGpu, ExchangeCarriesAdaGradState)
 
 TEST(ScratchPipeMultiGpu, FunctionalTrainerRejectsNanFraction)
 {
-    FunctionalScratchPipeTrainer::Options options;
+    ScratchPipeOptions options;
     options.cache_fraction = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(FunctionalScratchPipeTrainer(ModelConfig::functionalScale(),
                                               options),
+                 FatalError);
+}
+
+TEST(ScratchPipeMultiGpu, FunctionalTrainerRejectsMultipleGpus)
+{
+    EXPECT_THROW(FunctionalScratchPipeTrainer(ModelConfig::functionalScale(),
+                                              {.gpus = 2}),
                  FatalError);
 }
 

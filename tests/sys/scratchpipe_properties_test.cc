@@ -33,7 +33,7 @@ TEST(ScratchPipeProperties, AuditPassesWithPaperWindows)
         const ModelConfig model = functionalModel(locality, 101);
         data::TraceDataset dataset(model.trace, 30);
         FunctionalScratchPipeTrainer trainer(
-            model, FunctionalScratchPipeTrainer::Options{});
+            model, ScratchPipeOptions{.cache_fraction = 0.25});
         EXPECT_NO_THROW(trainer.train(dataset, 30))
             << data::localityName(locality);
         EXPECT_EQ(trainer.auditor().cyclesAudited(), 34u);
@@ -52,9 +52,9 @@ TEST(ScratchPipeProperties, AlwaysHitAtTrainTime)
     data::TraceDataset dataset_r(rand.trace, 25);
 
     FunctionalScratchPipeTrainer t_h(
-        high, FunctionalScratchPipeTrainer::Options{});
+        high, ScratchPipeOptions{.cache_fraction = 0.25});
     FunctionalScratchPipeTrainer t_r(
-        rand, FunctionalScratchPipeTrainer::Options{});
+        rand, ScratchPipeOptions{.cache_fraction = 0.25});
     t_h.train(dataset_h, 25);
     t_r.train(dataset_r, 25);
     EXPECT_GT(t_h.hitRate(), t_r.hitRate());
@@ -74,12 +74,11 @@ TEST(ScratchPipeProperties, ShrunkenWindowsTripTheAuditor)
     model.trace.lookups_per_table = 2;
     data::TraceDataset dataset(model.trace, 30);
 
-    FunctionalScratchPipeTrainer::Options options;
-    options.past_window = 0;
-    options.future_window = 0;
-    options.cache_fraction = 0.25; // 64 slots
-    options.enforce_capacity_bound = false;
-    FunctionalScratchPipeTrainer trainer(model, options);
+    FunctionalScratchPipeTrainer trainer(
+        model, {.cache_fraction = 0.25, // 64 slots
+                .past_window = 0,
+                .future_window = 0,
+                .enforce_capacity_bound = false});
     EXPECT_THROW(trainer.train(dataset, 30), PanicError);
 }
 
@@ -88,10 +87,9 @@ TEST(ScratchPipeProperties, UnderProvisionedCapacityIsFatal)
     ModelConfig model = functionalModel(data::Locality::Random, 404);
     model.trace.rows_per_table = 100'000; // forces distinct IDs
 
-    FunctionalScratchPipeTrainer::Options options;
-    options.cache_fraction = 0.001; // 100 slots << window working set
-    options.enforce_capacity_bound = false;
-    FunctionalScratchPipeTrainer trainer(model, options);
+    FunctionalScratchPipeTrainer trainer(
+        model, {.cache_fraction = 0.001, // 100 slots << window working set
+                .enforce_capacity_bound = false});
     data::TraceDataset dataset(model.trace, 10);
     EXPECT_THROW(trainer.train(dataset, 10), FatalError);
 }
@@ -101,10 +99,9 @@ TEST(ScratchPipeProperties, CapacityBoundMakesTheSameRunSafe)
     ModelConfig model = functionalModel(data::Locality::Random, 404);
     model.trace.rows_per_table = 100'000;
 
-    FunctionalScratchPipeTrainer::Options options;
-    options.cache_fraction = 0.001;
-    options.enforce_capacity_bound = true; // grown to §VI-D bound
-    FunctionalScratchPipeTrainer trainer(model, options);
+    FunctionalScratchPipeTrainer trainer(
+        model, {.cache_fraction = 0.001,
+                .enforce_capacity_bound = true}); // grown to §VI-D bound
     data::TraceDataset dataset(model.trace, 10);
     EXPECT_NO_THROW(trainer.train(dataset, 10));
 }
@@ -117,7 +114,7 @@ TEST(ScratchPipeProperties, FillEvictionBookkeepingBalances)
     const ModelConfig model = functionalModel(data::Locality::Medium, 17);
     data::TraceDataset dataset(model.trace, 30);
     FunctionalScratchPipeTrainer trainer(
-        model, FunctionalScratchPipeTrainer::Options{});
+        model, ScratchPipeOptions{.cache_fraction = 0.25});
     trainer.train(dataset, 30);
 
     const auto stats = trainer.aggregateStats();
@@ -136,10 +133,8 @@ TEST(ScratchPipeProperties, StrawmanNeedsNoWindow)
     model.trace.rows_per_table = 96;
     data::TraceDataset dataset(model.trace, 20);
 
-    FunctionalScratchPipeTrainer::Options options;
-    options.pipelined = false;
-    options.cache_fraction = 1.0;
-    FunctionalScratchPipeTrainer trainer(model, options);
+    FunctionalScratchPipeTrainer trainer(
+        model, {.cache_fraction = 1.0, .pipelined = false});
     EXPECT_NO_THROW(trainer.train(dataset, 20));
 }
 
@@ -150,9 +145,8 @@ TEST(ScratchPipeProperties, HitRateImprovesWithLargerScratchpad)
             functionalModel(data::Locality::Medium, 23);
         model.trace.rows_per_table = 8192;
         data::TraceDataset dataset(model.trace, 25);
-        FunctionalScratchPipeTrainer::Options options;
-        options.cache_fraction = fraction;
-        FunctionalScratchPipeTrainer trainer(model, options);
+        FunctionalScratchPipeTrainer trainer(model,
+                                             {.cache_fraction = fraction});
         trainer.train(dataset, 25);
         return trainer.hitRate();
     };

@@ -229,8 +229,8 @@ TEST(SplintIoStatus, DiscardedStatusCallFires)
         "src/sys/x.cc",
         "void f(Dataset &d, Store *s) {\n"
         "    d.saveTo(\"x\");\n"              // line 2: discarded
-        "    s->store.tryLoad(\"x\");\n"      // line 3: discarded
-        "    Dataset::tryMapped(\"x\");\n"    // line 4: discarded
+        "    s->store.saveTo(\"x\");\n"       // line 3: discarded
+        "    io::d.saveTo(\"x\");\n"          // line 4: discarded
         "}\n");
     EXPECT_EQ(countRule(diags, "io-status"), 3u) << describe(diags);
     EXPECT_EQ(diags[0].line, 2u);
@@ -243,7 +243,7 @@ TEST(SplintIoStatus, ConsumedStatusCallsDoNotFire)
         "void f(Dataset &d) {\n"
         "    const auto s = d.saveTo(\"x\");\n"     // assigned
         "    if (!d.saveTo(\"x\").ok()) return;\n"  // tested
-        "    return Dataset::tryLoad(\"x\");\n"     // returned
+        "    return d.saveTo(\"x\");\n"             // returned
         "}\n"
         "sp::Status\n"
         "Dataset::saveTo(const std::string &path) const\n" // definition

@@ -9,13 +9,18 @@ struct Dataset
     int saveTo(const std::string &path) const;
 };
 
+struct Store
+{
+    Dataset dataset;
+};
+
 void
-loadOrDie(Dataset &dataset, const std::string &path)
+loadOrDie(Dataset &dataset, Store *store, const std::string &path)
 {
     if (path.empty())
         std::exit(1);                  // violation: io-status
     panicIf(path.size() > 4096,        // violation: io-status
             "path too long");
     dataset.saveTo(path);              // violation: io-status (dropped)
-    Dataset::tryLoad(path);            // violation: io-status (dropped)
+    store->dataset.saveTo(path);       // violation: io-status (dropped)
 }

@@ -43,11 +43,11 @@ const std::vector<Rule> kRules = {
      "branch per call)"},
     {"io-status", Severity::Error,
      "environmental-failure handling violation on an IO path",
-     "environmental failures in src/data return sp::Status / "
-     "sp::Result (common/status.h) so callers can degrade; panic/"
-     "exit/terminate are for programmer errors only (justify with "
-     "splint:allow). Never discard a Status-returning call "
-     "(saveTo/tryLoad/tryMapped/tryOpen) as a bare statement"},
+     "environmental failures in src/data throw sp::StatusError or "
+     "return sp::Status (common/status.h) so callers can degrade; "
+     "panic/exit/terminate are for programmer errors only (justify "
+     "with splint:allow). Never discard a Status-returning call "
+     "(saveTo) as a bare statement"},
     {"hot-path-marker", Severity::Error,
      "unbalanced splint:hot-path-begin/end markers",
      "every hot-path-begin(<name>) needs one hot-path-end in the "
@@ -170,12 +170,11 @@ lineRules()
         // conditions put a token before the receiver; declarations
         // and definitions lack the trailing `;` or the qualifier.
         // (Discards split across lines slip past a line lint; the
-        // [[nodiscard]] on Status/Result still catches those at
-        // compile time.)
+        // [[nodiscard]] on Status still catches those at compile
+        // time.)
         {"io-status",
          std::regex(R"(^\s*(?:[A-Za-z_]\w*\s*(?:\.|->|::)\s*)+)"
-                    R"((?:saveTo|tryLoad|tryMapped|tryOpen)\s*\()"
-                    R"([^;]*\)\s*;\s*$)"),
+                    R"(saveTo\s*\([^;]*\)\s*;\s*$)"),
          srcPath, false},
     };
     return rules;

@@ -25,13 +25,12 @@
  *                       is a branch per call).
  *   hot-path-marker     the markers themselves must pair up.
  *   io-status           src/data reports environmental failures as
- *                       sp::Status / sp::Result (common/status.h),
- *                       never panic/exit/terminate (those are for
- *                       programmer errors, and need a justified
- *                       allow); and a Status-returning IO call
- *                       (saveTo/tryLoad/tryMapped/tryOpen) anywhere
- *                       in src/ must not be discarded as a bare
- *                       statement.
+ *                       sp::StatusError / sp::Status
+ *                       (common/status.h), never panic/exit/terminate
+ *                       (those are for programmer errors, and need a
+ *                       justified allow); and a Status-returning IO
+ *                       call (saveTo) anywhere in src/ must not be
+ *                       discarded as a bare statement.
  *   kernel-registration every src/cache/probe_kernel_<arch>.cc TU
  *                       must be covered by the kernel-equivalence
  *                       harness's registration list.

@@ -13,11 +13,12 @@
 
 #include <algorithm>
 #include <iostream>
-#include <span>
 
 #include "common/workload.h"
 #include "core/controller.h"
 #include "metrics/table_printer.h"
+#include "sys/plan_fanout.h"
+#include "sys/scratchpipe_sys.h"
 
 using namespace sp;
 
@@ -61,34 +62,27 @@ main(int argc, char **argv)
     for (double fraction : {0.02, 0.06, 0.10}) {
         // Run real controllers over a Random trace (the worst case for
         // working-set growth) and track the peak held count.
-        core::ControllerConfig cc;
-        cc.num_slots = std::max<uint32_t>(
-            worst, static_cast<uint32_t>(
-                       fraction * model.trace.rows_per_table));
-        cc.dim = model.embedding_dim;
-        cc.backing = cache::SlotArray::Backing::Phantom;
+        sys::ScratchPipeOptions options;
+        options.cache_fraction = fraction;
+        options.warm_start = false;
+        auto controllers = sys::makeScratchpadControllers(
+            model, options, cache::SlotArray::Backing::Phantom);
 
         data::TraceConfig trace = model.trace;
         trace.locality = data::Locality::Random;
         trace.seed = 2027;
         data::TraceDataset dataset(trace, 12);
 
-        double storage_bytes = 0.0, metadata_bytes = 0.0;
+        sys::PlanFanout fanout(trace.num_tables, options.future_window);
         uint64_t peak_held = 0;
-        for (size_t t = 0; t < trace.num_tables; ++t) {
-            core::ScratchPipeController controller(cc);
-            for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
-                std::vector<std::span<const uint64_t>> futures;
-                for (uint64_t d = 1; d <= 2; ++d) {
-                    const auto *next = dataset.lookAhead(b, d);
-                    if (next == nullptr)
-                        break;
-                    futures.emplace_back(next->ids(t));
-                }
-                controller.plan(dataset.batch(b).ids(t), futures);
+        for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
+            fanout.run(controllers, dataset, b);
+            for (const auto &controller : controllers)
                 peak_held = std::max<uint64_t>(
                     peak_held, controller.holdMask().heldCount());
-            }
+        }
+        double storage_bytes = 0.0, metadata_bytes = 0.0;
+        for (const auto &controller : controllers) {
             storage_bytes +=
                 static_cast<double>(controller.storage().storageBytes());
             metadata_bytes +=
@@ -97,8 +91,9 @@ main(int argc, char **argv)
 
         table.addRow(
             {metrics::TablePrinter::num(100.0 * fraction, 0) + "%",
-             std::to_string(cc.num_slots), mib(storage_bytes),
-             mib(metadata_bytes), mib(storage_bytes + metadata_bytes),
+             std::to_string(controllers.front().config().num_slots),
+             mib(storage_bytes), mib(metadata_bytes),
+             mib(storage_bytes + metadata_bytes),
              std::to_string(peak_held),
              mib(static_cast<double>(peak_held) * trace.num_tables *
                  model.rowBytes())});

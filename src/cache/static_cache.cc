@@ -7,14 +7,13 @@
 namespace sp::cache
 {
 
-StaticCache::StaticCache(std::span<const uint64_t> cached_rows, size_t dim,
-                         SlotArray::Backing backing)
+StaticCache::StaticCache(std::span<const uint64_t> cached_rows, size_t dim)
     : cached_rows_(cached_rows.begin(), cached_rows.end()),
       map_(cached_rows.size()),
       storage_(cached_rows.empty()
                    ? 1
                    : static_cast<uint32_t>(cached_rows.size()),
-               dim, backing)
+               dim)
 {
     fatalIf(cached_rows.empty(),
             "a static cache needs at least one cached row");
@@ -26,11 +25,8 @@ QuerySplit
 StaticCache::query(std::span<const uint64_t> ids) const
 {
     QuerySplit split;
-    split.hit_mask.resize(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-        const bool hit = map_.contains(ids[i]);
-        split.hit_mask[i] = hit;
-        if (hit)
+    for (const uint64_t id : ids) {
+        if (map_.contains(id))
             ++split.hits;
         else
             ++split.misses;
@@ -74,13 +70,6 @@ StaticCache::Accessor::row(uint64_t id) const
     panicIf(slot == HitMap::kNotFound,
             "static cache accessor asked for non-cached row ", id);
     return cache_.storage_.slot(slot);
-}
-
-uint64_t
-StaticCache::rowOfSlot(uint32_t slot) const
-{
-    panicIf(slot >= cached_rows_.size(), "slot out of range");
-    return cached_rows_[slot];
 }
 
 } // namespace sp::cache

@@ -3,11 +3,11 @@
  * Static top-N GPU embedding cache (the Yin et al. baseline).
  *
  * The cache is filled once with the N most frequently accessed rows of
- * a table and never evicts (paper Fig. 4(b)). Queries split a batch's
- * sparse IDs into hit IDs (serviced from GPU memory) and missed IDs
- * (serviced from the CPU embedding table); both halves are trained in
- * place, so the cache additionally exposes slot-level access to its
- * dense storage for the functional engine.
+ * a table and never evicts (paper Fig. 4(b)). Queries count a batch's
+ * hits (serviced from GPU memory) and misses (serviced from the CPU
+ * embedding table); both halves are trained in place, so the cache
+ * additionally exposes row access to its storage for the functional
+ * engine.
  */
 
 #ifndef SP_CACHE_STATIC_CACHE_H
@@ -25,22 +25,11 @@
 namespace sp::cache
 {
 
-/** Hit/miss split of one batch's sparse IDs, preserving trace order. */
+/** Hit/miss counts of one batch's sparse IDs. */
 struct QuerySplit
 {
-    /** hit_mask[i] is true iff ids[i] hit the cache. */
-    std::vector<bool> hit_mask;
     uint64_t hits = 0;
     uint64_t misses = 0;
-
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits + misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(total);
-    }
 };
 
 /** Never-evicting cache of the top-N hottest rows of one table. */
@@ -52,15 +41,12 @@ class StaticCache
      *                    AccessStats::rankedRows); slot i holds
      *                    cached_rows[i].
      * @param dim Embedding dimension.
-     * @param backing Dense for functional runs, Phantom for timing.
      */
-    StaticCache(std::span<const uint64_t> cached_rows, size_t dim,
-                SlotArray::Backing backing = SlotArray::Backing::Dense);
+    StaticCache(std::span<const uint64_t> cached_rows, size_t dim);
 
-    uint32_t numSlots() const { return storage_.numSlots(); }
     size_t dim() const { return storage_.dim(); }
 
-    /** Classify each ID of a batch as hit or miss. */
+    /** Count a batch's hits and misses. */
     QuerySplit query(std::span<const uint64_t> ids) const;
 
     /** Slot for `id`, or HitMap::kNotFound. */
@@ -86,9 +72,6 @@ class StaticCache
     };
 
     Accessor accessor() { return Accessor(*this); }
-
-    /** The cached row ID held by a slot. */
-    uint64_t rowOfSlot(uint32_t slot) const;
 
   private:
     std::vector<uint64_t> cached_rows_;

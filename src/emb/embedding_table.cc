@@ -7,24 +7,20 @@
 namespace sp::emb
 {
 
-EmbeddingTable::EmbeddingTable(uint64_t rows, size_t dim, Backing backing)
-    : rows_(rows), dim_(dim), backing_(backing)
+EmbeddingTable::EmbeddingTable(uint64_t rows, size_t dim)
+    : rows_(rows), dim_(dim)
 {
     fatalIf(rows == 0, "embedding table needs at least one row");
     fatalIf(dim == 0, "embedding dimension must be positive");
-    if (backing_ == Backing::Dense) {
-        const uint64_t total = rows_ * static_cast<uint64_t>(dim_);
-        fatalIf(total > (1ull << 32),
-                "dense table of ", rows_, "x", dim_,
-                " floats is too large to materialise; use Phantom backing");
-        data_.assign(total, 0.0f);
-    }
+    const uint64_t total = rows_ * static_cast<uint64_t>(dim_);
+    fatalIf(total > (1ull << 32), "dense table of ", rows_, "x", dim_,
+            " floats is too large to materialise");
+    data_.assign(total, 0.0f);
 }
 
 void
 EmbeddingTable::initRandom(tensor::Rng &rng, float stddev)
 {
-    fatalIf(!isDense(), "cannot initialise a phantom table");
     for (auto &v : data_)
         v = static_cast<float>(rng.normal(0.0, stddev));
 }
@@ -32,7 +28,6 @@ EmbeddingTable::initRandom(tensor::Rng &rng, float stddev)
 float *
 EmbeddingTable::row(uint64_t id)
 {
-    panicIf(!isDense(), "row access on a phantom embedding table");
     panicIf(id >= rows_, "row ", id, " out of range (", rows_, " rows)");
     return data_.data() + id * dim_;
 }
@@ -40,7 +35,6 @@ EmbeddingTable::row(uint64_t id)
 const float *
 EmbeddingTable::row(uint64_t id) const
 {
-    panicIf(!isDense(), "row access on a phantom embedding table");
     panicIf(id >= rows_, "row ", id, " out of range (", rows_, " rows)");
     return data_.data() + id * dim_;
 }
@@ -50,8 +44,6 @@ EmbeddingTable::identical(const EmbeddingTable &a, const EmbeddingTable &b)
 {
     if (a.rows_ != b.rows_ || a.dim_ != b.dim_)
         return false;
-    panicIf(!a.isDense() || !b.isDense(),
-            "identical() requires dense tables");
     return std::equal(a.data_.begin(), a.data_.end(), b.data_.begin());
 }
 

@@ -6,13 +6,9 @@
  * dense float vector (one row per ID). The paper's tables are
  * 10M rows x 128 dims x 8 tables = 40 GB -- too large to materialise
  * here, and unnecessary for timing: every latency in the model depends
- * only on row *geometry* and ID streams. Tables therefore support two
- * backings:
- *
- *  - Dense:   real float storage; used by functional training runs and
- *             all correctness tests.
- *  - Phantom: geometry only; rowPtr() is forbidden. Timing-mode system
- *             models carry paper-scale tables this way.
+ * only on row *geometry* and ID streams, so only the functional
+ * training runs and the correctness tests build tables, at small
+ * scale.
  */
 
 #ifndef SP_EMB_EMBEDDING_TABLE_H
@@ -43,40 +39,28 @@ class RowAccessor
     virtual size_t dim() const = 0;
 };
 
-/** One embedding table, dense (materialised) or phantom (geometry). */
+/** One materialised embedding table. */
 class EmbeddingTable : public RowAccessor
 {
   public:
-    enum class Backing
-    {
-        Dense,   //!< real float storage
-        Phantom, //!< geometry only, no storage
-    };
-
-    EmbeddingTable(uint64_t rows, size_t dim,
-                   Backing backing = Backing::Dense);
+    EmbeddingTable(uint64_t rows, size_t dim);
 
     uint64_t rows() const { return rows_; }
     size_t dim() const override { return dim_; }
     size_t rowBytes() const { return dim_ * sizeof(float); }
-    bool isDense() const { return backing_ == Backing::Dense; }
 
-    /** Total bytes this table represents (even when phantom). */
-    uint64_t modelBytes() const { return rows_ * rowBytes(); }
-
-    /** Initialise dense storage with N(0, stddev) values. */
+    /** Initialise the storage with N(0, stddev) values. */
     void initRandom(tensor::Rng &rng, float stddev);
 
     float *row(uint64_t id) override;
     const float *row(uint64_t id) const override;
 
-    /** Deep equality of two dense tables (bit-identical floats). */
+    /** Deep equality of two tables (bit-identical floats). */
     static bool identical(const EmbeddingTable &a, const EmbeddingTable &b);
 
   private:
     uint64_t rows_;
     size_t dim_;
-    Backing backing_;
     std::vector<float> data_;
 };
 

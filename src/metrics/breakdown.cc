@@ -1,7 +1,5 @@
 #include "metrics/breakdown.h"
 
-#include "common/logging.h"
-
 namespace sp::metrics
 {
 
@@ -29,30 +27,6 @@ IterationBreakdown::total() const
     for (const auto &stage : stages_)
         total += stage.seconds;
     return total;
-}
-
-void
-IterationBreakdown::scale(double factor)
-{
-    for (auto &stage : stages_)
-        stage.seconds *= factor;
-}
-
-void
-IterationBreakdown::accumulate(const IterationBreakdown &other)
-{
-    if (stages_.empty()) {
-        stages_ = other.stages_;
-        return;
-    }
-    panicIf(stages_.size() != other.stages_.size(),
-            "accumulating breakdowns with different stage counts");
-    for (size_t i = 0; i < stages_.size(); ++i) {
-        panicIf(stages_[i].name != other.stages_[i].name,
-                "accumulating breakdowns with mismatched stage '",
-                stages_[i].name, "' vs '", other.stages_[i].name, "'");
-        stages_[i].seconds += other.stages_[i].seconds;
-    }
 }
 
 } // namespace sp::metrics

@@ -40,13 +40,6 @@ class IterationBreakdown
 
     const std::vector<StageTime> &stages() const { return stages_; }
 
-    /** Scale every stage (e.g. average over iterations). */
-    void scale(double factor);
-
-    /** Accumulate another breakdown stage-by-stage (names must be
-     *  appended in the same order; panics otherwise). */
-    void accumulate(const IterationBreakdown &other);
-
   private:
     std::vector<StageTime> stages_;
 };

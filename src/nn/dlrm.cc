@@ -7,39 +7,49 @@ namespace sp::nn
 {
 
 std::vector<size_t>
-DlrmModel::bottomDims(const DlrmConfig &config)
+DlrmConfig::bottomDims() const
 {
     std::vector<size_t> dims;
-    dims.push_back(config.dense_features);
-    dims.insert(dims.end(), config.bottom_hidden.begin(),
-                config.bottom_hidden.end());
-    dims.push_back(config.embedding_dim);
+    dims.push_back(dense_features);
+    dims.insert(dims.end(), bottom_hidden.begin(), bottom_hidden.end());
+    dims.push_back(embedding_dim);
     return dims;
 }
 
 std::vector<size_t>
-DlrmModel::topDims(const DlrmConfig &config)
+DlrmConfig::topDims() const
 {
-    const size_t f = config.num_tables + 1;
-    const size_t interact = config.embedding_dim + f * (f - 1) / 2;
+    const size_t f = num_tables + 1;
+    const size_t interact = embedding_dim + f * (f - 1) / 2;
     std::vector<size_t> dims;
     dims.push_back(interact);
-    dims.insert(dims.end(), config.top_hidden.begin(),
-                config.top_hidden.end());
+    dims.insert(dims.end(), top_hidden.begin(), top_hidden.end());
     dims.push_back(1);
     return dims;
+}
+
+size_t
+DlrmConfig::parameterCount() const
+{
+    size_t total = 0;
+    for (const auto &dims : {bottomDims(), topDims()}) {
+        // Each layer: an out x in weight matrix and out biases.
+        for (size_t i = 0; i + 1 < dims.size(); ++i)
+            total += (dims[i] + 1) * dims[i + 1];
+    }
+    return total;
 }
 
 DlrmModel::DlrmModel(const DlrmConfig &config, uint64_t seed)
     : config_(config),
       bottom_([&] {
           tensor::Rng rng(seed * 2 + 1);
-          return Mlp(bottomDims(config), rng, true);
+          return Mlp(config.bottomDims(), rng, true);
       }()),
       interaction_(config.num_tables, config.embedding_dim),
       top_([&] {
           tensor::Rng rng(seed * 2 + 2);
-          return Mlp(topDims(config), rng, false);
+          return Mlp(config.topDims(), rng, false);
       }())
 {
 }

@@ -37,6 +37,14 @@ struct DlrmConfig
      *  appended automatically). */
     std::vector<size_t> top_hidden = {1024, 1024, 512, 256};
     float learning_rate = 0.01f;
+
+    /** Bottom MLP widths: dense_features, bottom_hidden...,
+     *  embedding_dim. */
+    std::vector<size_t> bottomDims() const;
+    /** Top MLP widths: the interaction's output, top_hidden..., 1. */
+    std::vector<size_t> topDims() const;
+    /** Weights and biases of both MLPs, without building them. */
+    size_t parameterCount() const;
 };
 
 /** Result of one forward pass. */
@@ -95,9 +103,6 @@ class DlrmModel
     tensor::Matrix logits_;
     tensor::Matrix probs_;
     tensor::Matrix labels_;
-
-    static std::vector<size_t> bottomDims(const DlrmConfig &config);
-    static std::vector<size_t> topDims(const DlrmConfig &config);
 };
 
 } // namespace sp::nn

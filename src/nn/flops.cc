@@ -3,35 +3,6 @@
 namespace sp::nn
 {
 
-namespace
-{
-
-std::vector<size_t>
-bottomDims(const DlrmConfig &config)
-{
-    std::vector<size_t> dims;
-    dims.push_back(config.dense_features);
-    dims.insert(dims.end(), config.bottom_hidden.begin(),
-                config.bottom_hidden.end());
-    dims.push_back(config.embedding_dim);
-    return dims;
-}
-
-std::vector<size_t>
-topDims(const DlrmConfig &config)
-{
-    const size_t f = config.num_tables + 1;
-    const size_t interact = config.embedding_dim + f * (f - 1) / 2;
-    std::vector<size_t> dims;
-    dims.push_back(interact);
-    dims.insert(dims.end(), config.top_hidden.begin(),
-                config.top_hidden.end());
-    dims.push_back(1);
-    return dims;
-}
-
-} // namespace
-
 double
 mlpForwardFlops(const std::vector<size_t> &dims, size_t batch)
 {
@@ -76,8 +47,8 @@ interactionBackwardFlops(size_t num_tables, size_t dim, size_t batch)
 double
 dlrmIterationFlops(const DlrmConfig &config, size_t batch)
 {
-    const auto bottom = bottomDims(config);
-    const auto top = topDims(config);
+    const auto bottom = config.bottomDims();
+    const auto top = config.topDims();
     double flops = 0.0;
     flops += mlpForwardFlops(bottom, batch) +
              mlpBackwardFlops(bottom, batch);
@@ -93,8 +64,8 @@ double
 dlrmForwardFlops(const DlrmConfig &config, size_t batch)
 {
     double flops = 0.0;
-    flops += mlpForwardFlops(bottomDims(config), batch);
-    flops += mlpForwardFlops(topDims(config), batch);
+    flops += mlpForwardFlops(config.bottomDims(), batch);
+    flops += mlpForwardFlops(config.topDims(), batch);
     flops += interactionForwardFlops(config.num_tables,
                                      config.embedding_dim, batch);
     return flops;

@@ -48,15 +48,6 @@ ResourceDemand::stageLatency() const
     return std::max({cpu, gpu, h2d, d2h, nvl});
 }
 
-double
-ResourceDemand::totalBusy() const
-{
-    double total = 0.0;
-    for (double s : seconds)
-        total += s;
-    return total;
-}
-
 LatencyModel::LatencyModel(const HardwareConfig &config) : config_(config)
 {
     config_.validate();

@@ -73,9 +73,6 @@ struct ResourceDemand
      * {PcieD2H}, {NvLink}.
      */
     double stageLatency() const;
-
-    /** Sum of all components (used for energy attribution). */
-    double totalBusy() const;
 };
 
 /** Converts byte/FLOP counts to per-resource seconds. */

@@ -43,22 +43,6 @@ solvePipeline(const std::vector<StageDemand> &stages)
 }
 
 double
-pipelineTotalTime(const PipelineSolution &solution,
-                  const std::vector<StageDemand> &stages,
-                  uint64_t iterations)
-{
-    if (iterations == 0)
-        return 0.0;
-    // Fill: the first batch walks every stage once; afterwards one
-    // iteration retires per cycle.
-    double fill = 0.0;
-    for (const auto &stage : stages)
-        fill += stage.latency();
-    return fill +
-           static_cast<double>(iterations - 1) * solution.cycle_time;
-}
-
-double
 sequentialIterationTime(const std::vector<StageDemand> &stages)
 {
     double total = 0.0;

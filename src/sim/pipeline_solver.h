@@ -13,9 +13,8 @@
  *     resource must fit within one cycle.
  *
  * The solver takes per-stage ResourceDemand vectors (typically
- * averaged over measured iterations) and reports the cycle time, the
- * binding constraint, and total time for N iterations including
- * pipeline fill.
+ * averaged over measured iterations) and reports the cycle time and
+ * the binding constraint.
  */
 
 #ifndef SP_SIM_PIPELINE_SOLVER_H
@@ -56,14 +55,6 @@ struct PipelineSolution
 
 /** Solve the steady state for the given stage demands. */
 PipelineSolution solvePipeline(const std::vector<StageDemand> &stages);
-
-/**
- * Total time for `iterations` retirements: pipeline fill (the first
- * batch traverses every stage) plus (iterations - 1) cycles.
- */
-double pipelineTotalTime(const PipelineSolution &solution,
-                         const std::vector<StageDemand> &stages,
-                         uint64_t iterations);
 
 /**
  * Sequential (non-pipelined) execution of the same stages: one

@@ -35,14 +35,4 @@ BatchStats::unique(uint64_t b, size_t t) const
     return unique_[b][t];
 }
 
-size_t
-BatchStats::uniqueTotal(uint64_t b) const
-{
-    panicIf(b >= unique_.size(), "batch index out of range");
-    size_t total = 0;
-    for (size_t u : unique_[b])
-        total += u;
-    return total;
-}
-
 } // namespace sp::sys

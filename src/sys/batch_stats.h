@@ -31,9 +31,6 @@ class BatchStats
     /** Unique IDs of batch `b`, table `t`. */
     size_t unique(uint64_t b, size_t t) const;
 
-    /** Sum of unique counts across tables for batch `b`. */
-    size_t uniqueTotal(uint64_t b) const;
-
     uint64_t iterations() const { return unique_.size(); }
 
   private:

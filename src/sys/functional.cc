@@ -9,6 +9,7 @@
 #include "data/access_stats.h"
 #include "emb/embedding_ops.h"
 #include "sys/scratchpipe_sys.h"
+#include "sys/system.h"
 
 namespace sp::sys
 {
@@ -62,8 +63,7 @@ makeStateTables(const ModelConfig &config)
     tables.reserve(config.trace.num_tables);
     for (size_t t = 0; t < config.trace.num_tables; ++t) {
         tables.emplace_back(config.trace.rows_per_table,
-                            config.embedding_dim,
-                            emb::EmbeddingTable::Backing::Dense);
+                            config.embedding_dim);
     }
     return tables;
 }
@@ -77,8 +77,7 @@ makeDenseTables(const ModelConfig &config)
     tables.reserve(config.trace.num_tables);
     for (size_t t = 0; t < config.trace.num_tables; ++t) {
         tables.emplace_back(config.trace.rows_per_table,
-                            config.embedding_dim,
-                            emb::EmbeddingTable::Backing::Dense);
+                            config.embedding_dim);
         tensor::Rng rng(config.model_seed * 1000003 + t);
         tables.back().initRandom(rng, 0.05f);
     }
@@ -216,13 +215,11 @@ class SplitAccessor : public emb::RowAccessor
 
 FunctionalStaticCacheTrainer::FunctionalStaticCacheTrainer(
     const ModelConfig &config, double cache_fraction)
-    : config_(config), cache_fraction_(cache_fraction),
-      tables_(makeDenseTables(config)),
+    : config_(config), tables_(makeDenseTables(config)),
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    fatalIf(!(cache_fraction > 0.0 && cache_fraction <= 1.0),
-            "cache_fraction must be in (0, 1], got ", cache_fraction);
+    cached_rows_ = cachedRows(config_, cache_fraction);
     fatalIf(config.optimizer != Optimizer::Sgd,
             "the static-cache trainer supports SGD only; use the hybrid "
             "or ScratchPipe trainers for AdaGrad");
@@ -242,16 +239,11 @@ FunctionalStaticCacheTrainer::train(const data::TraceDataset &dataset,
     for (uint64_t i = 0; i < iterations; ++i)
         stats.addBatch(dataset.batch(i));
 
-    const uint64_t cached_rows = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               cache_fraction_ *
-               static_cast<double>(config_.trace.rows_per_table)));
-
     std::vector<cache::StaticCache> caches;
     caches.reserve(config_.trace.num_tables);
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
         auto ranked = stats.rankedRows(t);
-        ranked.resize(std::min<size_t>(ranked.size(), cached_rows));
+        ranked.resize(std::min<size_t>(ranked.size(), cached_rows_));
         caches.emplace_back(ranked, config_.embedding_dim);
         caches.back().fillFrom(tables_[t]);
     }

@@ -108,6 +108,8 @@ class FunctionalHybridTrainer
 class FunctionalStaticCacheTrainer
 {
   public:
+    /** `cache_fraction` of each table's rows, checked by
+     *  cachedRows(). */
     FunctionalStaticCacheTrainer(const ModelConfig &config,
                                  double cache_fraction);
 
@@ -129,7 +131,7 @@ class FunctionalStaticCacheTrainer
 
   private:
     ModelConfig config_;
-    double cache_fraction_;
+    uint64_t cached_rows_ = 0;
     std::vector<emb::EmbeddingTable> tables_;
     nn::DlrmModel model_;
     uint64_t hits_ = 0;

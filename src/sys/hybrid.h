@@ -14,12 +14,7 @@
 #ifndef SP_SYS_HYBRID_H
 #define SP_SYS_HYBRID_H
 
-#include "data/dataset.h"
-#include "sim/latency_model.h"
-#include "sys/batch_stats.h"
-#include "sys/run_result.h"
 #include "sys/system.h"
-#include "sys/system_config.h"
 
 namespace sp::sys
 {
@@ -39,15 +34,7 @@ class HybridCpuGpu : public System
                        const BatchStats &stats, uint64_t iterations,
                        uint64_t warmup = 0) const override;
 
-    static constexpr const char *kDescription =
-        "CPU-resident embeddings, GPU MLPs, no cache (Fig. 4a)";
-
     std::string name() const override { return "Hybrid CPU-GPU"; }
-    std::string description() const override { return kDescription; }
-
-  private:
-    ModelConfig model_;
-    sim::LatencyModel latency_;
 };
 
 } // namespace sp::sys

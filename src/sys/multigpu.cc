@@ -1,22 +1,17 @@
 #include "sys/multigpu.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "common/logging.h"
 #include "emb/traffic.h"
-#include "nn/dlrm.h"
 #include "nn/flops.h"
-#include "sys/registry.h"
 
 namespace sp::sys
 {
 
 MultiGpuSystem::MultiGpuSystem(const ModelConfig &model,
                                const sim::HardwareConfig &hardware)
-    : model_(model), latency_(hardware)
+    : System(model, hardware)
 {
-    model_.validate();
 }
 
 RunResult
@@ -24,9 +19,7 @@ MultiGpuSystem::simulate(const data::TraceDataset &dataset,
                          const BatchStats &stats, uint64_t iterations,
                          uint64_t warmup) const
 {
-    fatalIf(iterations == 0, "need at least one iteration");
-    fatalIf(warmup + iterations > dataset.numBatches(),
-            "dataset has only ", dataset.numBatches(), " batches");
+    checkRun(dataset, stats, iterations, warmup);
 
     const auto &hw = latency_.config();
     const auto &trace = model_.trace;
@@ -39,9 +32,8 @@ MultiGpuSystem::simulate(const data::TraceDataset &dataset,
 
     // MLP parameter bytes for the ring all-reduce.
     const nn::DlrmConfig dlrm = model_.dlrmConfig();
-    const nn::DlrmModel probe(dlrm, /*seed=*/1);
     const double param_bytes =
-        static_cast<double>(probe.parameterCount()) * sizeof(float);
+        static_cast<double>(dlrm.parameterCount()) * sizeof(float);
 
     double total_emb = 0.0, total_comm = 0.0, total_mlp = 0.0;
     double gpu_busy = 0.0;
@@ -113,18 +105,6 @@ MultiGpuSystem::simulate(const data::TraceDataset &dataset,
                  result.seconds_per_iteration);
     result.gpu_bytes = static_cast<double>(model_.embeddingModelBytes());
     return result;
-}
-
-void
-registerMultiGpuSystem(Registry &registry)
-{
-    registry.addEntry(
-        {"multigpu", MultiGpuSystem::kDescription,
-         /*options=*/{},
-         [](const ModelConfig &model, const sim::HardwareConfig &hw,
-            const SystemSpec &) -> std::unique_ptr<System> {
-             return std::make_unique<MultiGpuSystem>(model, hw);
-         }});
 }
 
 } // namespace sp::sys

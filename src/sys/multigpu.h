@@ -18,12 +18,7 @@
 #ifndef SP_SYS_MULTIGPU_H
 #define SP_SYS_MULTIGPU_H
 
-#include "data/dataset.h"
-#include "sim/latency_model.h"
-#include "sys/batch_stats.h"
-#include "sys/run_result.h"
 #include "sys/system.h"
-#include "sys/system_config.h"
 
 namespace sp::sys
 {
@@ -39,15 +34,7 @@ class MultiGpuSystem : public System
                        const BatchStats &stats, uint64_t iterations,
                        uint64_t warmup = 0) const override;
 
-    static constexpr const char *kDescription =
-        "8x V100 model-parallel GPU-only trainer (Section VI-F)";
-
     std::string name() const override { return "8-GPU"; }
-    std::string description() const override { return kDescription; }
-
-  private:
-    ModelConfig model_;
-    sim::LatencyModel latency_;
 };
 
 } // namespace sp::sys

@@ -4,92 +4,74 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "sys/hybrid.h"
+#include "sys/multigpu.h"
+#include "sys/scratchpipe_sys.h"
+#include "sys/serving.h"
+#include "sys/static_sys.h"
 
 namespace sp::sys
 {
 
-// Defined next to each system's implementation; called once from
-// instance(). Central dispatch (rather than static initialisers in
-// each .cc) keeps registration immune to static-library dead
-// stripping: a driver that only links the registry still sees every
-// system.
-void registerHybridSystem(Registry &registry);
-void registerStaticCacheSystem(Registry &registry);
-void registerScratchPipeSystems(Registry &registry);
-void registerMultiGpuSystem(Registry &registry);
-void registerServingSystem(Registry &registry);
-
-Registry &
-Registry::instance()
-{
-    // Magic static: the builtin registrations complete (thread-safely)
-    // before any caller can observe the instance.
-    static Registry registry = [] {
-        Registry built;
-        registerHybridSystem(built);
-        registerStaticCacheSystem(built);
-        registerScratchPipeSystems(built);
-        registerMultiGpuSystem(built);
-        registerServingSystem(built);
-        return built;
-    }();
-    return registry;
-}
-
-void
-Registry::addEntry(Entry entry)
-{
-    panicIf(entry.name.empty(), "registry: entry without a name");
-    panicIf(!entry.build, "registry: system '", entry.name,
-            "' has no builder");
-    panicIf(entries_.count(entry.name) != 0,
-            "registry: duplicate system '", entry.name, "'");
-    entries_.emplace(entry.name, std::move(entry));
-}
-
-std::unique_ptr<System>
-Registry::build(const SystemSpec &spec, const ModelConfig &model,
-                const sim::HardwareConfig &hw)
-{
-    spec.validate();
-    return entry(spec.name).build(model, hw, spec);
-}
-
-std::vector<std::string>
-Registry::names()
-{
-    std::vector<std::string> names;
-    for (const auto &[name, entry] : instance().entries_)
-        names.push_back(name);
-    return names;
-}
-
-const Registry::Entry &
-Registry::entry(const std::string &name)
-{
-    const auto &entries = instance().entries_;
-    const auto found = entries.find(name);
-    if (found != entries.end())
-        return found->second;
-
-    std::ostringstream known;
-    for (const auto &n : names())
-        known << (known.tellp() > 0 ? "/" : "") << n;
-    const std::string nearest = suggest(name);
-    if (!nearest.empty())
-        fatal("unknown system '", name, "' -- did you mean '", nearest,
-              "'? (", known.str(), ")");
-    fatal("unknown system '", name, "' (", known.str(), ")");
-}
-
-bool
-Registry::contains(const std::string &name)
-{
-    return instance().entries_.count(name) != 0;
-}
-
 namespace
 {
+
+/** Every system, one row each. */
+const std::vector<Registry::Entry> &
+systems()
+{
+    using Hw = sim::HardwareConfig;
+    static const std::vector<Registry::Entry> table = {
+        {"hybrid", "CPU-resident embeddings, GPU MLPs, no cache (Fig. 4a)",
+         /*options=*/{},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &) -> std::unique_ptr<System> {
+             return std::make_unique<HybridCpuGpu>(model, hw);
+         }},
+        {"multigpu", "8x V100 model-parallel GPU-only trainer (Section VI-F)",
+         /*options=*/{},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &) -> std::unique_ptr<System> {
+             return std::make_unique<MultiGpuSystem>(model, hw);
+         }},
+        {"scratchpipe",
+         "dynamic always-hit GPU scratchpad, six-stage pipeline "
+         "(Section IV-C)",
+         {OptionSet::Cache, OptionSet::Scratchpad},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &spec) -> std::unique_ptr<System> {
+             return std::make_unique<ScratchPipeSystem>(
+                 model, hw, spec.scratchPipeOptions(true));
+         }},
+        {"serve",
+         "online inference serving: open-loop arrivals, latency-budget "
+         "admission batching, GPU embedding cache over a host parameter "
+         "server (HugeCTR-HPS-style), SLO percentiles",
+         {OptionSet::Cache, OptionSet::Serve},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &spec) -> std::unique_ptr<System> {
+             return std::make_unique<ServingSystem>(model, hw,
+                                                    spec.serveOptions());
+         }},
+        {"static",
+         "CPU-GPU with a static top-N GPU cache (Fig. 4b, Yin et al. "
+         "baseline)",
+         {OptionSet::Cache},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &spec) -> std::unique_ptr<System> {
+             return std::make_unique<StaticCacheSystem>(
+                 model, hw, spec.cacheFractionOr(0.10));
+         }},
+        {"strawman", "dynamic scratchpad, sequential stages (Section IV-B)",
+         {OptionSet::Cache, OptionSet::Scratchpad},
+         [](const ModelConfig &model, const Hw &hw,
+            const SystemSpec &spec) -> std::unique_ptr<System> {
+             return std::make_unique<ScratchPipeSystem>(
+                 model, hw, spec.scratchPipeOptions(false));
+         }},
+    };
+    return table;
+}
 
 /** Levenshtein distance, O(|a|*|b|). */
 size_t
@@ -112,6 +94,42 @@ editDistance(const std::string &a, const std::string &b)
 }
 
 } // namespace
+
+std::unique_ptr<System>
+Registry::build(const SystemSpec &spec, const ModelConfig &model,
+                const sim::HardwareConfig &hw)
+{
+    spec.validate();
+    return entry(spec.name).build(model, hw, spec);
+}
+
+std::vector<std::string>
+Registry::names()
+{
+    std::vector<std::string> names;
+    for (const Entry &entry : systems())
+        names.push_back(entry.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+const Registry::Entry &
+Registry::entry(const std::string &name)
+{
+    for (const Entry &entry : systems()) {
+        if (entry.name == name)
+            return entry;
+    }
+
+    std::ostringstream known;
+    for (const auto &n : names())
+        known << (known.tellp() > 0 ? "/" : "") << n;
+    const std::string nearest = suggest(name);
+    if (!nearest.empty())
+        fatal("unknown system '", name, "' -- did you mean '", nearest,
+              "'? (", known.str(), ")");
+    fatal("unknown system '", name, "' (", known.str(), ")");
+}
 
 std::string
 Registry::suggest(const std::string &name)

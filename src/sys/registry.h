@@ -1,18 +1,17 @@
 /**
  * @file
- * String-keyed registry of system models.
+ * String-keyed table of system models.
  *
- * Each system registers itself under a stable CLI-friendly key
- * ("hybrid", "scratchpipe", ...) together with a one-line description
- * and the spec option sets it takes, which drive SystemSpec validation
- * and `spsim --list-systems`. Drivers build systems by name:
+ * Each system has one row in the table in registry.cc: a stable
+ * CLI-friendly key ("hybrid", "scratchpipe", ...), a one-line
+ * description, the spec option sets it takes (they drive SystemSpec
+ * validation and `spsim --list-systems`) and a builder. Drivers build
+ * systems by name:
  *
  *   auto system = sys::Registry::build(spec, model, hardware);
  *   RunResult r = system->simulate(dataset, stats, iters, warmup);
  *
- * Registration lives next to each system's implementation (see the
- * registerXxx functions referenced from registerBuiltinSystems); a
- * new system adds one Entry and is immediately reachable from spsim,
+ * A new system adds one row and is immediately reachable from spsim,
  * every bench, and the ExperimentRunner with no driver changes.
  *
  * Unknown names fail with a nearest-name suggestion so a typo like
@@ -23,7 +22,6 @@
 #define SP_SYS_REGISTRY_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -37,7 +35,7 @@
 namespace sp::sys
 {
 
-/** Global name -> builder table for system models. */
+/** The name -> builder table of system models. */
 class Registry
 {
   public:
@@ -58,11 +56,6 @@ class Registry
         Builder build;
     };
 
-    /** Register a system; panics on duplicate names. The builtin
-     *  registration functions call it inside instance()'s
-     *  initialisation. */
-    void addEntry(Entry entry);
-
     /** Build a system for `spec` (spec.name keys the lookup).
      *  fatal() with a suggestion when the name is unknown; runs
      *  spec.validate() first so misuse fails before construction. */
@@ -76,17 +69,9 @@ class Registry
     /** Entry for `name`; fatal() with a suggestion when unknown. */
     static const Entry &entry(const std::string &name);
 
-    /** True when `name` is registered. */
-    static bool contains(const std::string &name);
-
     /** Nearest registered name by edit distance (empty when none is
      *  plausibly close). */
     static std::string suggest(const std::string &name);
-
-  private:
-    static Registry &instance();
-
-    std::map<std::string, Entry> entries_;
 };
 
 } // namespace sp::sys

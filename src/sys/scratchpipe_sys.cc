@@ -1,16 +1,14 @@
 #include "sys/scratchpipe_sys.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "emb/traffic.h"
-#include "nn/dlrm.h"
 #include "nn/flops.h"
+#include "sim/pipeline_solver.h"
 #include "sys/plan_fanout.h"
-#include "sys/registry.h"
 
 namespace sp::sys
 {
@@ -69,9 +67,8 @@ makeScratchpadControllers(const ModelConfig &model,
 ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
                                      const sim::HardwareConfig &hardware,
                                      const ScratchPipeOptions &options)
-    : model_(model), latency_(hardware), options_(options)
+    : System(model, hardware), options_(options)
 {
-    model_.validate();
     fatalIf(options.gpus == 0, "gpus must be at least 1");
     fatalIf(options.gpus > 1 && !options.pipelined,
             "the multi-GPU extension models the pipelined design only");
@@ -83,9 +80,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
                             const BatchStats &stats, uint64_t iterations,
                             uint64_t warmup) const
 {
-    fatalIf(iterations == 0, "need at least one iteration");
-    fatalIf(warmup + iterations > dataset.numBatches(),
-            "dataset has only ", dataset.numBatches(), " batches");
+    checkRun(dataset, stats, iterations, warmup);
 
     const auto &hw = latency_.config();
     const auto &trace = model_.trace;
@@ -124,14 +119,10 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     uint64_t total_hits = 0, total_ids = 0;
     const nn::DlrmConfig dlrm = model_.dlrmConfig();
     // The MLPs are data-parallel: each GPU trains 1/gpus of the batch
-    // and all-reduces the MLP gradients. Single-GPU runs skip building
-    // the model whose size only that all-reduce needs.
+    // and all-reduces the MLP gradients.
     const double flops = nn::dlrmIterationFlops(dlrm, batch) / gpus;
     const double param_bytes =
-        gpus > 1 ? static_cast<double>(
-                       nn::DlrmModel(dlrm, 1).parameterCount()) *
-                       sizeof(float)
-                 : 0.0;
+        static_cast<double>(dlrm.parameterCount()) * sizeof(float);
 
     // Tables are independent (one controller each), so their [Plan]
     // stages fan out across the shared pool.
@@ -304,10 +295,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     result.busy.cpu_busy_seconds = cpu_busy;
     result.busy.gpu_busy_seconds = gpu_busy;
 
-    result.hit_rate = total_ids == 0
-                          ? 0.0
-                          : static_cast<double>(total_hits) /
-                                static_cast<double>(total_ids);
+    result.hit_rate = hitRate(total_hits, total_ids);
     double gpu_bytes = 0.0;
     for (const auto &controller : controllers) {
         gpu_bytes += static_cast<double>(controller.storage().storageBytes());
@@ -315,27 +303,6 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     }
     result.gpu_bytes = gpu_bytes;
     return result;
-}
-
-void
-registerScratchPipeSystems(Registry &registry)
-{
-    registry.addEntry(
-        {"scratchpipe", ScratchPipeSystem::kDescriptionPipelined,
-         {OptionSet::Cache, OptionSet::Scratchpad},
-         [](const ModelConfig &model, const sim::HardwareConfig &hw,
-            const SystemSpec &spec) -> std::unique_ptr<System> {
-             return std::make_unique<ScratchPipeSystem>(
-                 model, hw, spec.scratchPipeOptions(true));
-         }});
-    registry.addEntry(
-        {"strawman", ScratchPipeSystem::kDescriptionStrawman,
-         {OptionSet::Cache, OptionSet::Scratchpad},
-         [](const ModelConfig &model, const sim::HardwareConfig &hw,
-            const SystemSpec &spec) -> std::unique_ptr<System> {
-             return std::make_unique<ScratchPipeSystem>(
-                 model, hw, spec.scratchPipeOptions(false));
-         }});
 }
 
 } // namespace sp::sys

@@ -30,13 +30,7 @@
 #include "cache/probe_kernel.h"
 #include "cache/replacement.h"
 #include "core/controller.h"
-#include "data/dataset.h"
-#include "sim/latency_model.h"
-#include "sim/pipeline_solver.h"
-#include "sys/batch_stats.h"
-#include "sys/run_result.h"
 #include "sys/system.h"
-#include "sys/system_config.h"
 
 namespace sp::sys
 {
@@ -145,32 +139,17 @@ class ScratchPipeSystem : public System
                        const BatchStats &stats, uint64_t iterations,
                        uint64_t warmup = 0) const override;
 
-    static constexpr const char *kDescriptionPipelined =
-        "dynamic always-hit GPU scratchpad, six-stage pipeline "
-        "(Section IV-C)";
-    static constexpr const char *kDescriptionStrawman =
-        "dynamic scratchpad, sequential stages (Section IV-B)";
-
     std::string name() const override
     {
         if (options_.gpus > 1)
             return "ScratchPipe multi-GPU";
         return options_.pipelined ? "ScratchPipe" : "Straw-man";
     }
-    std::string description() const override
-    {
-        return options_.pipelined ? kDescriptionPipelined
-                                  : kDescriptionStrawman;
-    }
 
     /** Provisioned Storage slots per table (after the §VI-D bound). */
     uint32_t slotsPerTable() const { return slots_per_table_; }
 
-    const ScratchPipeOptions &options() const { return options_; }
-
   private:
-    ModelConfig model_;
-    sim::LatencyModel latency_;
     ScratchPipeOptions options_;
     uint32_t slots_per_table_ = 0;
 };

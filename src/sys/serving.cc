@@ -10,10 +10,8 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "emb/traffic.h"
 #include "metrics/percentile.h"
 #include "nn/flops.h"
-#include "sys/registry.h"
 
 namespace sp::sys
 {
@@ -220,32 +218,23 @@ serviceTime(const sim::LatencyModel &latency, const ModelConfig &model,
             uint64_t admitted)
 {
     const auto &hw = latency.config();
-    const size_t rb = model.rowBytes();
-    using CpuPath = sim::LatencyModel::CpuPath;
 
-    // [Query] against the GPU tier, then missed rows + dense inputs
-    // up; the host parameter server gathers the missed rows between.
-    const CacheTransferTimes transfer = cacheTransferTimes(
-        latency, model, static_cast<double>(hits + misses), misses,
-        admitted);
-    const double t_host =
-        latency.cpuTime(emb::gatherTraffic(misses, rb),
-                        CpuPath::Framework) +
-        hw.cpu_serve_overhead;
+    // [Query] against the GPU tier, the host parameter server's gather
+    // of the missed rows, their upload, and the GPU gather + reduce.
+    CacheTierCost tier =
+        cacheTierCost(latency, model, hits, misses, admitted);
+    const double t_host = tier.host_gather + hw.cpu_serve_overhead;
 
-    // GPU: gather hit rows, reduce per sample, insert refreshed rows
-    // (dynamic tier writes every missed row back), forward pass.
-    emb::Traffic gpu;
-    gpu += emb::gatherTraffic(hits, rb);
-    for (size_t t = 0; t < model.trace.num_tables; ++t)
-        gpu += emb::reduceTraffic(
-            admitted * model.trace.lookups_per_table, admitted, rb);
+    // GPU: the dynamic tier writes every missed row back, then the
+    // forward pass.
     if (options.dynamic_refresh)
-        gpu.sparse_write_bytes += static_cast<double>(misses) * rb;
+        tier.gpu.sparse_write_bytes +=
+            static_cast<double>(misses) * model.rowBytes();
     const double flops = nn::dlrmForwardFlops(
         model.dlrmConfig(), static_cast<size_t>(admitted));
     const double t_gpu = latency.gpuComputeTime(flops) +
-                         latency.gpuMemTime(gpu) + hw.gpu_serve_overhead;
+                         latency.gpuMemTime(tier.gpu) +
+                         hw.gpu_serve_overhead;
 
     // Predictions back (one float per request).
     const double t_d2h = latency.pcieTime(
@@ -253,9 +242,8 @@ serviceTime(const sim::LatencyModel &latency, const ModelConfig &model,
 
     ServiceTime time;
     time.cpu = t_host;
-    time.gpu = transfer.query + transfer.miss_upload + t_gpu + t_d2h;
-    time.total =
-        transfer.query + t_host + transfer.miss_upload + t_gpu + t_d2h;
+    time.gpu = tier.query + tier.miss_upload + t_gpu + t_d2h;
+    time.total = tier.query + t_host + tier.miss_upload + t_gpu + t_d2h;
     return time;
 }
 
@@ -281,26 +269,19 @@ ServeOptions::validationError() const
 ServingSystem::ServingSystem(const ModelConfig &model,
                              const sim::HardwareConfig &hardware,
                              const ServeOptions &options)
-    : model_(model), latency_(hardware), options_(options)
+    : System(model, hardware), options_(options)
 {
-    model_.validate();
     const std::string problem = options_.validationError();
     fatalIf(!problem.empty(), "serve spec: ", problem);
-    cached_rows_ = static_cast<uint64_t>(
-        options_.cache_fraction *
-        static_cast<double>(model_.trace.rows_per_table));
-    fatalIf(cached_rows_ == 0, "serve: cache fraction ",
-            options_.cache_fraction, " caches zero rows per table");
+    cached_rows_ = cachedRows(model_, options_.cache_fraction);
 }
 
 RunResult
 ServingSystem::simulate(const data::TraceDataset &dataset,
-                        const BatchStats & /*stats*/,
+                        const BatchStats &stats,
                         uint64_t iterations, uint64_t warmup) const
 {
-    fatalIf(iterations == 0, "need at least one iteration");
-    fatalIf(warmup + iterations > dataset.numBatches(),
-            "dataset has only ", dataset.numBatches(), " batches");
+    checkRun(dataset, stats, iterations, warmup);
 
     const uint64_t warm_requests = warmup * model_.trace.batch_size;
     const Admission admission = admitRequests(
@@ -394,27 +375,12 @@ ServingSystem::simulate(const data::TraceDataset &dataset,
     result.busy.iteration_seconds = result.seconds_per_iteration;
     result.busy.cpu_busy_seconds = cpu_busy * inv_iters;
     result.busy.gpu_busy_seconds = gpu_busy * inv_iters;
-    result.hit_rate = ids == 0 ? 0.0
-                               : static_cast<double>(hits) /
-                                     static_cast<double>(ids);
+    result.hit_rate = hitRate(hits, ids);
     // Cached rows plus ~16 B of HitMap metadata per dynamic slot.
     result.gpu_bytes =
         static_cast<double>(cached_rows_) * model_.trace.num_tables *
         (model_.rowBytes() + (options_.dynamic_refresh ? 16.0 : 0.0));
     return result;
-}
-
-void
-registerServingSystem(Registry &registry)
-{
-    registry.addEntry(
-        {"serve", ServingSystem::kDescription,
-         {OptionSet::Cache, OptionSet::Serve},
-         [](const ModelConfig &model, const sim::HardwareConfig &hw,
-            const SystemSpec &spec) -> std::unique_ptr<System> {
-             return std::make_unique<ServingSystem>(
-                 model, hw, spec.serveOptions());
-         }});
 }
 
 } // namespace sp::sys

@@ -63,9 +63,7 @@
 
 #include "cache/replacement.h"
 #include "data/arrival.h"
-#include "sim/latency_model.h"
 #include "sys/system.h"
-#include "sys/system_config.h"
 
 namespace sp::sys
 {
@@ -98,11 +96,6 @@ struct ServeOptions
 class ServingSystem : public System
 {
   public:
-    static constexpr const char *kDescription =
-        "online inference serving: open-loop arrivals, latency-budget "
-        "admission batching, GPU embedding cache over a host parameter "
-        "server (HugeCTR-HPS-style), SLO percentiles";
-
     ServingSystem(const ModelConfig &model,
                   const sim::HardwareConfig &hardware,
                   const ServeOptions &options);
@@ -117,13 +110,8 @@ class ServingSystem : public System
                        uint64_t warmup = 0) const override;
 
     std::string name() const override { return "Serving"; }
-    std::string description() const override { return kDescription; }
-
-    uint64_t cachedRows() const { return cached_rows_; }
 
   private:
-    ModelConfig model_;
-    sim::LatencyModel latency_;
     ServeOptions options_;
     uint64_t cached_rows_ = 0;
 };

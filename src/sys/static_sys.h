@@ -20,12 +20,7 @@
 #ifndef SP_SYS_STATIC_SYS_H
 #define SP_SYS_STATIC_SYS_H
 
-#include "data/dataset.h"
-#include "sim/latency_model.h"
-#include "sys/batch_stats.h"
-#include "sys/run_result.h"
 #include "sys/system.h"
-#include "sys/system_config.h"
 
 namespace sp::sys
 {
@@ -36,7 +31,7 @@ class StaticCacheSystem : public System
   public:
     /**
      * @param cache_fraction Fraction of each table cached (paper
-     *        studies 0.02 - 0.10).
+     *        studies 0.02 - 0.10); cachedRows() checks it.
      */
     StaticCacheSystem(const ModelConfig &model,
                       const sim::HardwareConfig &hardware,
@@ -46,20 +41,9 @@ class StaticCacheSystem : public System
                        const BatchStats &stats, uint64_t iterations,
                        uint64_t warmup = 0) const override;
 
-    static constexpr const char *kDescription =
-        "CPU-GPU with a static top-N GPU cache (Fig. 4b, Yin et al. "
-        "baseline)";
-
     std::string name() const override { return "Static cache"; }
-    std::string description() const override { return kDescription; }
-
-    /** Cached rows per table. */
-    uint64_t cachedRowsPerTable() const { return cached_rows_; }
 
   private:
-    ModelConfig model_;
-    sim::LatencyModel latency_;
-    double cache_fraction_;
     uint64_t cached_rows_;
 };
 

@@ -8,7 +8,9 @@
  * `std::unique_ptr<System>` and treat all design points uniformly.
  * Instances are built from a SystemSpec through sys::Registry; direct
  * construction of the concrete classes remains available for tests.
- * The cost terms several models share live here too.
+ * The decisions several models share live here too: the run check,
+ * the cached-row rule, the GPU cache tier's cost and the Fig. 4
+ * result assembly.
  */
 
 #ifndef SP_SYS_SYSTEM_H
@@ -27,7 +29,7 @@
 namespace sp::sys
 {
 
-/** Abstract system model: simulate a workload, describe yourself. */
+/** Abstract system model over one model geometry and one testbed. */
 class System
 {
   public:
@@ -46,42 +48,72 @@ class System
     /** Display name, identical to RunResult::system_name. */
     virtual std::string name() const = 0;
 
-    /** One-line description (paper reference + role). */
-    virtual std::string description() const = 0;
+  protected:
+    /** fatal() unless `model` is valid. */
+    System(const ModelConfig &model, const sim::HardwareConfig &hardware);
+
+    ModelConfig model_;
+    sim::LatencyModel latency_;
 };
+
+/**
+ * fatal() unless a run measures at least one iteration and both
+ * `dataset` and `stats` cover its `warmup + iterations` batches.
+ */
+void checkRun(const data::TraceDataset &dataset, const BatchStats &stats,
+              uint64_t iterations, uint64_t warmup);
+
+/**
+ * Rows per table a GPU cache of `fraction` holds. fatal() unless
+ * `fraction` lies in (0, 1] (NaN is rejected) and caches at least one
+ * row.
+ */
+uint64_t cachedRows(const ModelConfig &model, double fraction);
+
+/** `hits / ids`, or 0 when there were no lookups. */
+double hitRate(uint64_t hits, uint64_t ids);
 
 /** Bytes one GPU hash-table probe reads per ID ([Query], [Plan]). */
 inline constexpr double kProbeBytesPerId = 16.0;
 
-/** PCIe and GPU time of a GPU cache over host-resident tables. */
-struct CacheTransferTimes
+/** What a GPU cache over host-resident tables costs one batch before
+ *  the system's own backward or refresh traffic. */
+struct CacheTierCost
 {
     /** [Query]: IDs up, one hash-table probe each, missed IDs back. */
     double query = 0.0;
+    /** CPU seconds to gather the missed rows on the host. */
+    double host_gather = 0.0;
     /** Missed rows + each sample's dense inputs up. */
     double miss_upload = 0.0;
+    /** GPU gather of the hit rows + every table's per-sample reduce. */
+    emb::Traffic gpu;
 };
 
-/** The static cache's and the serving tier's transfer times for
- *  `ids` lookups by `samples` samples, `misses` of them missed. */
-inline CacheTransferTimes
-cacheTransferTimes(const sim::LatencyModel &latency,
-                   const ModelConfig &model, double ids, uint64_t misses,
-                   uint64_t samples)
+/** The static cache's and the serving tier's shared cost of `hits +
+ *  misses` lookups by `samples` samples. */
+CacheTierCost cacheTierCost(const sim::LatencyModel &latency,
+                            const ModelConfig &model, uint64_t hits,
+                            uint64_t misses, uint64_t samples);
+
+/**
+ * Running sums of the three-stage Fig. 4 iteration the hybrid and
+ * static-cache baselines share: the CPU's embedding forward and
+ * backward, and everything on the GPU side.
+ */
+struct Fig4Totals
 {
-    emb::Traffic probe;
-    probe.dense_read_bytes = ids * kProbeBytesPerId;
-    CacheTransferTimes times;
-    times.query = latency.pcieTime(ids * sizeof(uint64_t)) +
-                  latency.gpuMemTime(probe) +
-                  latency.pcieTime(static_cast<double>(misses) *
-                                   sizeof(uint64_t));
-    times.miss_upload = latency.pcieTime(
-        static_cast<double>(misses) * model.rowBytes() +
-        static_cast<double>(samples) *
-            (model.trace.dense_features + 1) * sizeof(float));
-    return times;
-}
+    double cpu_forward = 0.0;
+    double cpu_backward = 0.0;
+    double gpu = 0.0;
+    double cpu_busy = 0.0;
+
+    /** Add one measured batch's stage times. */
+    void add(double forward, double backward, double gpu_side);
+
+    /** The per-iteration result over `iterations` measured batches. */
+    RunResult result(const std::string &name, uint64_t iterations) const;
+};
 
 } // namespace sp::sys
 

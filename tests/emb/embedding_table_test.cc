@@ -1,4 +1,4 @@
-/** @file EmbeddingTable storage and backing tests. */
+/** @file EmbeddingTable storage tests. */
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@ TEST(EmbeddingTable, DenseGeometry)
     EXPECT_EQ(table.rows(), 100u);
     EXPECT_EQ(table.dim(), 8u);
     EXPECT_EQ(table.rowBytes(), 32u);
-    EXPECT_EQ(table.modelBytes(), 3200u);
-    EXPECT_TRUE(table.isDense());
 }
 
 TEST(EmbeddingTable, DenseStartsZeroed)
@@ -52,22 +50,6 @@ TEST(EmbeddingTable, InitRandomIsDeterministic)
     EXPECT_TRUE(EmbeddingTable::identical(a, b));
 }
 
-TEST(EmbeddingTable, PhantomHasGeometryButNoStorage)
-{
-    EmbeddingTable table(10'000'000, 128,
-                         EmbeddingTable::Backing::Phantom);
-    EXPECT_FALSE(table.isDense());
-    EXPECT_EQ(table.modelBytes(), 10'000'000ull * 512);
-    EXPECT_THROW(table.row(0), PanicError);
-}
-
-TEST(EmbeddingTable, PhantomInitFatal)
-{
-    EmbeddingTable table(100, 8, EmbeddingTable::Backing::Phantom);
-    tensor::Rng rng(1);
-    EXPECT_THROW(table.initRandom(rng, 0.1f), FatalError);
-}
-
 TEST(EmbeddingTable, OutOfRangeRowPanics)
 {
     EmbeddingTable table(10, 4);
@@ -76,9 +58,7 @@ TEST(EmbeddingTable, OutOfRangeRowPanics)
 
 TEST(EmbeddingTable, HugeDenseTableRefused)
 {
-    EXPECT_THROW(EmbeddingTable(10'000'000'000ull, 128,
-                                EmbeddingTable::Backing::Dense),
-                 FatalError);
+    EXPECT_THROW(EmbeddingTable(10'000'000'000ull, 128), FatalError);
 }
 
 TEST(EmbeddingTable, IdenticalDetectsDifference)

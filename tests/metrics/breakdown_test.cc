@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "metrics/breakdown.h"
 
 namespace sp::metrics
@@ -29,48 +28,6 @@ TEST(Breakdown, GetSumsRepeatedNames)
     EXPECT_DOUBLE_EQ(b.get("pcie"), 0.015);
     EXPECT_DOUBLE_EQ(b.get("gpu"), 0.02);
     EXPECT_DOUBLE_EQ(b.get("absent"), 0.0);
-}
-
-TEST(Breakdown, ScaleMultipliesEverything)
-{
-    IterationBreakdown b;
-    b.add("a", 2.0);
-    b.add("b", 4.0);
-    b.scale(0.5);
-    EXPECT_DOUBLE_EQ(b.get("a"), 1.0);
-    EXPECT_DOUBLE_EQ(b.get("b"), 2.0);
-}
-
-TEST(Breakdown, AccumulateMatchingStages)
-{
-    IterationBreakdown total, one;
-    one.add("x", 1.0);
-    one.add("y", 2.0);
-    total.accumulate(one);
-    total.accumulate(one);
-    EXPECT_DOUBLE_EQ(total.get("x"), 2.0);
-    EXPECT_DOUBLE_EQ(total.get("y"), 4.0);
-}
-
-TEST(Breakdown, AccumulateIntoEmptyCopies)
-{
-    IterationBreakdown total, one;
-    one.add("x", 1.5);
-    total.accumulate(one);
-    EXPECT_DOUBLE_EQ(total.total(), 1.5);
-}
-
-TEST(Breakdown, AccumulateMismatchPanics)
-{
-    IterationBreakdown a, b;
-    a.add("x", 1.0);
-    b.add("y", 1.0);
-    EXPECT_THROW(a.accumulate(b), PanicError);
-
-    IterationBreakdown c;
-    c.add("x", 1.0);
-    c.add("z", 1.0);
-    EXPECT_THROW(a.accumulate(c), PanicError);
 }
 
 } // namespace

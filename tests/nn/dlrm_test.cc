@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "nn/dlrm.h"
 #include "nn/flops.h"
+#include "sys/system_config.h"
 #include "tensor/rng.h"
 
 namespace sp::nn
@@ -169,6 +170,17 @@ TEST(Dlrm, ParameterCountMatchesArchitecture)
     const size_t bottom = (4 * 16 + 16) + (16 * 8 + 8);
     const size_t top = (14 * 32 + 32) + (32 * 16 + 16) + (16 * 1 + 1);
     EXPECT_EQ(model.parameterCount(), bottom + top);
+}
+
+TEST(Dlrm, ConfigCountsParametersWithoutBuilding)
+{
+    for (const sys::ModelConfig &model :
+         {sys::ModelConfig::paperDefault(),
+          sys::ModelConfig::functionalScale()}) {
+        const DlrmConfig config = model.dlrmConfig();
+        EXPECT_EQ(config.parameterCount(),
+                  DlrmModel(config, 3).parameterCount());
+    }
 }
 
 TEST(Dlrm, FlopCountPositiveAndScalesWithBatch)

@@ -113,15 +113,6 @@ TEST(LatencyModel, StageLatencyOverlapsDevices)
     EXPECT_DOUBLE_EQ(gpu.stageLatency(), 2.0);
 }
 
-TEST(LatencyModel, TotalBusySumsEverything)
-{
-    ResourceDemand d;
-    d[Resource::CpuDram] = 1.0;
-    d[Resource::GpuHbm] = 2.0;
-    d[Resource::NvLink] = 0.5;
-    EXPECT_DOUBLE_EQ(d.totalBusy(), 3.5);
-}
-
 TEST(LatencyModel, ResourceNamesDistinct)
 {
     for (size_t i = 0; i < kNumResources; ++i) {

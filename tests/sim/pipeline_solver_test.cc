@@ -96,17 +96,6 @@ TEST(PipelineSolver, PipelineNeverFasterThanResourceLimit)
     EXPECT_GE(solution.cycle_time, 1.25);
 }
 
-TEST(PipelineSolver, TotalTimeIncludesFill)
-{
-    std::vector<StageDemand> stages = {cpuStage("a", 1.0),
-                                       gpuStage("b", 2.0)};
-    const auto solution = solvePipeline(stages);
-    // Fill = 3.0, then 9 more cycles of 2.0.
-    EXPECT_DOUBLE_EQ(pipelineTotalTime(solution, stages, 10), 21.0);
-    EXPECT_DOUBLE_EQ(pipelineTotalTime(solution, stages, 1), 3.0);
-    EXPECT_DOUBLE_EQ(pipelineTotalTime(solution, stages, 0), 0.0);
-}
-
 TEST(PipelineSolver, SequentialIsSumOfLatencies)
 {
     std::vector<StageDemand> stages = {cpuStage("a", 1.0, 0.1),

@@ -18,6 +18,7 @@
 
 #include "common/logging.h"
 #include "sys/functional.h"
+#include "sys/static_sys.h"
 
 namespace sp::sys
 {
@@ -65,7 +66,7 @@ TEST(FunctionalEquivalence, StaticCacheMatchesHybrid)
 TEST(FunctionalStaticCacheTrainer, RejectsFractionOutsideUnitInterval)
 {
     // NaN fails every comparison, so only a check written as
-    // !(in range) rejects it; admitted, it reaches train()'s
+    // !(in range) rejects it; admitted, it reaches the
     // double-to-integer row count, which is undefined for NaN.
     for (const double fraction :
          {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.5}) {
@@ -74,6 +75,18 @@ TEST(FunctionalStaticCacheTrainer, RejectsFractionOutsideUnitInterval)
             FatalError)
             << "cache_fraction=" << fraction;
     }
+}
+
+TEST(FunctionalStaticCacheTrainer, RejectsSubRowFractionLikeTimingModel)
+{
+    // 1e-4 of 4096 rows is 0.4 rows. The trainer and the timing model
+    // share one cached-row rule, so neither rounds it up to one row.
+    const ModelConfig model = ModelConfig::functionalScale();
+    EXPECT_THROW(StaticCacheSystem(model,
+                                   sim::HardwareConfig::paperTestbed(),
+                                   1e-4),
+                 FatalError);
+    EXPECT_THROW(FunctionalStaticCacheTrainer(model, 1e-4), FatalError);
 }
 
 TEST(FunctionalEquivalence, StrawmanMatchesHybrid)

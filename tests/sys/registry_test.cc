@@ -15,6 +15,7 @@
 #include <cctype>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "sys/experiment.h"
@@ -233,10 +234,9 @@ TEST(SystemSpec, RejectsOutOfRangeCache)
 
 TEST(Registry, KnowsTheFivePaperSystemsPlusServing)
 {
-    for (const char *name : {"hybrid", "static", "strawman",
-                             "scratchpipe", "multigpu", "serve"})
-        EXPECT_TRUE(Registry::contains(name)) << name;
-    EXPECT_EQ(Registry::names().size(), 6u);
+    const std::vector<std::string> sorted = {
+        "hybrid", "multigpu", "scratchpipe", "serve", "static", "strawman"};
+    EXPECT_EQ(Registry::names(), sorted);
 }
 
 TEST(Registry, SuggestsNearestName)
@@ -268,11 +268,34 @@ TEST(Registry, RoundTripEveryRegisteredSystem)
         const auto system = Registry::build(spec, model, kHw);
         ASSERT_NE(system, nullptr) << name;
         EXPECT_EQ(system->name().empty(), false) << name;
-        EXPECT_EQ(system->description().empty(), false) << name;
+        EXPECT_EQ(Registry::entry(name).description.empty(), false)
+            << name;
         const RunResult result = system->simulate(dataset, stats, 2);
         EXPECT_GT(result.seconds_per_iteration, 0.0) << name;
         EXPECT_EQ(result.system_name, system->name()) << name;
         EXPECT_EQ(result.iterations, 2u) << name;
+    }
+}
+
+TEST(Registry, EverySystemChecksTheRunAlike)
+{
+    // One run check for every system: stats that stop short of
+    // warmup + iterations are a FatalError, like a short dataset,
+    // never a PanicError from an out-of-range BatchStats lookup (which
+    // runAll rethrows, killing the sweep) and never silently accepted.
+    const ModelConfig model = smallModel();
+    const data::TraceDataset dataset(model.trace, 4);
+    const BatchStats stats(dataset, 2);
+    for (const auto &name : Registry::names()) {
+        SystemSpec spec;
+        spec.name = name;
+        const auto system = Registry::build(spec, model, kHw);
+        EXPECT_THROW(system->simulate(dataset, stats, 2, 1), FatalError)
+            << name;
+        EXPECT_THROW(system->simulate(dataset, stats, 0), FatalError)
+            << name;
+        EXPECT_THROW(system->simulate(dataset, stats, 5), FatalError)
+            << name;
     }
 }
 

@@ -40,7 +40,7 @@ runServe(const std::string &spec_text, const ModelConfig &model,
     spec.validate();
     const data::TraceDataset dataset(model.trace,
                                      warmup + iterations + 1);
-    const BatchStats stats(dataset, iterations);
+    const BatchStats stats(dataset, warmup + iterations);
     const auto system = Registry::build(spec, model, kHw);
     return system->simulate(dataset, stats, iterations, warmup);
 }

@@ -163,17 +163,22 @@ ScratchPipeController::plan(
     // and 2 *before* selecting its own victims), or current-marked by
     // the plan that inserted it within the past window. Narrower
     // windows (the straw-man's 0) lack that cover, so the pass stays.
+    // It runs after the future passes: mark bits OR in, so the masks
+    // are the same in any order, and nothing mutates the Hit-Map
+    // before classification, so its probe of the current batch is the
+    // pre-probe Step C needs.
     // Probe latency against the multi-MB Hit-Map dominates planning
     // at paper scale; every scan goes through the software-pipelined
     // batched probe, split into plan_shards ID ranges over the worker
     // pool when the controller is configured to shard.
-    if (config_.future_window < 2)
-        markPass(current_ids, 0);
+    const bool mark_current = config_.future_window < 2;
     const uint32_t window =
         std::min<uint32_t>(config_.future_window,
                            static_cast<uint32_t>(future_ids.size()));
     for (uint32_t d = 1; d <= window; ++d)
         markPass(future_ids[d - 1], d);
+    if (mark_current)
+        markPass(current_ids, 0);
 
     // splint:hot-path-begin(plan-classify)
     // Step C: classify the current batch and assign victims to misses.
@@ -184,8 +189,10 @@ ScratchPipeController::plan(
     // evicted by an earlier miss (possible only while hold marks are
     // still warming up, e.g. the first plans after warm_start). Both
     // cases fall back to a live probe, so the outcome is exactly what
-    // the old one-find-per-ID loop produced.
-    probePass(current_ids);
+    // the old one-find-per-ID loop produced. The current mark pass,
+    // when it ran, already left that pre-probe in probe_.
+    if (!mark_current)
+        probePass(current_ids);
     for (size_t i = 0; i < current_ids.size(); ++i) {
         const uint64_t id = current_ids[i];
         uint32_t slot = probe_[i];

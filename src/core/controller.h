@@ -244,7 +244,7 @@ class ScratchPipeController
     void markPass(std::span<const uint64_t> ids, uint32_t future_distance);
 
     /** Sharded map_.findMany(ids, probe_) without marking (the
-     *  classify pre-probe). */
+     *  classify pre-probe when no current mark pass left it). */
     void probePass(std::span<const uint64_t> ids);
 
     ControllerConfig config_;

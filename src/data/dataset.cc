@@ -26,18 +26,32 @@ TraceDataset::TraceDataset(std::shared_ptr<const TraceView> view,
             ? view_->numBatches()
             : std::min<uint64_t>(max_batches, view_->numBatches());
     // No ID bytes move -- each batch is a span into the view, built in
-    // O(1). Reading the index word does fault in one page per batch of
-    // a mapping; that is deliberate: an entry with scribbled interior
-    // indices must be detected here, where TraceStore can still
-    // classify it as a miss and regenerate, not as a panic in the
-    // middle of a simulation.
+    // O(1). A file's records are validated here, where TraceStore can
+    // still classify a bad entry as a miss and regenerate it, not as a
+    // panic in the middle of a simulation: every index word must match
+    // its position, and every ID must lie in [0, rows_per_table),
+    // since every system indexes by row. The ID scan faults a whole
+    // mapping in at load; generated traces are in range by
+    // construction and skip it.
+    const bool from_file = !view_->path().empty();
+    const uint64_t rows = config().rows_per_table;
     batches_.reserve(num_batches);
     for (uint64_t b = 0; b < num_batches; ++b) {
         batches_.push_back(MiniBatch::fromRecord(view_->record(b), config()));
-        failIf(batches_.back().index != b, ErrorCode::Corrupt, "'",
-               view_->path(), "' stores batch index ",
-               batches_.back().index, " at position ", b,
+        const MiniBatch &batch = batches_.back();
+        failIf(batch.index != b, ErrorCode::Corrupt, "'", view_->path(),
+               "' stores batch index ", batch.index, " at position ", b,
                "; the file is corrupt");
+        if (!from_file)
+            continue;
+        const auto ids = batch.all_ids;
+        const auto bad = std::ranges::find_if(
+            ids, [rows](uint64_t id) { return id >= rows; });
+        if (bad != ids.end())
+            failWith(ErrorCode::Corrupt, "'", view_->path(),
+                     "' stores row ID ", *bad, " in batch ", b,
+                     ", table ", (bad - ids.begin()) / batch.idsPerTable(),
+                     ", outside its ", rows, " rows; the file is corrupt");
     }
 }
 

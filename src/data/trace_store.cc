@@ -113,20 +113,21 @@ class TempFileGuard
 };
 
 /**
- * Cheap header peek: does the current entry at `path` already hold a
- * valid trace for `config` covering at least `num_batches`? Used to
- * avoid replacing a longer published entry with a shorter one when
- * publishers race with different batch counts (the shorter file would
- * silently defeat every later warm start).
+ * Does the current entry at `path` already hold a valid trace for
+ * `config` covering at least `num_batches`? Used to avoid replacing a
+ * longer published entry with a shorter one when publishers race with
+ * different batch counts (the shorter file would silently defeat every
+ * later warm start). The entry's first `num_batches` records pass the
+ * load's checks too, or a corrupt entry would never be replaced.
  */
 bool
 entryCovers(const TraceConfig &config, uint64_t num_batches,
             const std::string &path)
 {
     try {
-        const auto view = TraceView::open(path);
-        return view->config() == config &&
-               view->numBatches() >= num_batches;
+        const TraceDataset entry(TraceView::open(path), num_batches);
+        return entry.config() == config &&
+               entry.numBatches() >= num_batches;
     } catch (const FatalError &) {
         return false;
     }

@@ -157,19 +157,35 @@ adagradScatter(RowAccessor &table, RowAccessor &state,
 }
 
 size_t
-countUnique(std::span<const uint64_t> ids)
+countUnique(std::span<const uint64_t> ids, uint64_t rows,
+            std::vector<uint64_t> &seen)
 {
-    std::vector<uint64_t> scratch;
-    return countUnique(ids, scratch);
-}
+    // Growing appends zero words, so the all-zero invariant holds.
+    const uint64_t words = rows / 64 + (rows % 64 != 0);
+    if (seen.size() < words)
+        seen.resize(words);
+    // Zero the words the first n IDs set: one store per ID instead of
+    // a sweep over the whole row range.
+    const auto clear = [ids, &seen](size_t n) {
+        for (size_t i = 0; i < n; ++i)
+            seen[ids[i] / 64] = 0;
+    };
 
-size_t
-countUnique(std::span<const uint64_t> ids, std::vector<uint64_t> &scratch)
-{
-    scratch.assign(ids.begin(), ids.end());
-    std::sort(scratch.begin(), scratch.end());
-    return static_cast<size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+    size_t count = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+        const uint64_t id = ids[i];
+        if (id >= rows) {
+            clear(i);
+            panic("countUnique: ID ", id, " is not below the ", rows,
+                  " rows counted");
+        }
+        uint64_t &word = seen[id / 64];
+        const uint64_t bit = uint64_t{1} << (id % 64);
+        count += (word & bit) == 0;
+        word |= bit;
+    }
+    clear(ids.size());
+    return count;
 }
 
 std::vector<uint64_t>

@@ -93,17 +93,19 @@ void adagradScatter(RowAccessor &table, RowAccessor &state,
                     const CoalescedGradients &coalesced, float lr,
                     float eps);
 
-/** Number of distinct IDs in `ids` (timing-mode helper). */
-size_t countUnique(std::span<const uint64_t> ids);
-
 /**
- * countUnique with a caller-provided scratch buffer: `scratch` is
- * resized to hold a sorted copy of `ids` but keeps its capacity, so
- * repeated calls (the per-batch statistics loops) stop paying a heap
- * allocation per call.
+ * Number of distinct IDs in `ids` (timing-mode helper), counted in one
+ * pass that sets each ID's bit in `seen`, a caller-owned bitmap over
+ * the row range [0, rows).
+ *
+ * `seen` is grown to ceil(rows / 64) words when it is shorter. Its
+ * words are zero on entry and zero on return: a second pass over
+ * `ids` clears only the words the first pass set, so one bitmap
+ * serves every call of a statistics loop at O(ids) per call. An ID
+ * >= rows is a caller bug and panics, with `seen` cleared.
  */
-size_t countUnique(std::span<const uint64_t> ids,
-                   std::vector<uint64_t> &scratch);
+size_t countUnique(std::span<const uint64_t> ids, uint64_t rows,
+                   std::vector<uint64_t> &seen);
 
 /** Distinct IDs of `ids`, ascending (timing-mode helper). */
 std::vector<uint64_t> uniqueIds(std::span<const uint64_t> ids);

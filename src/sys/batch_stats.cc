@@ -14,16 +14,17 @@ BatchStats::BatchStats(const data::TraceDataset &dataset,
             "dataset has ", dataset.numBatches(), " batches, need ",
             iterations);
     // Batches are independent, so the unique counts compute in
-    // parallel; each worker reuses one sort buffer across its share
-    // of the batches instead of allocating per countUnique call.
+    // parallel; each worker reuses one bitmap over the table's rows
+    // across its share of the batches (countUnique leaves it zeroed).
+    const uint64_t rows = dataset.config().rows_per_table;
     unique_.resize(iterations);
-    common::parallelFor(iterations, [this, &dataset](size_t b) {
-        static thread_local std::vector<uint64_t> scratch;
+    common::parallelFor(iterations, [this, &dataset, rows](size_t b) {
+        static thread_local std::vector<uint64_t> seen;
         const auto &batch = dataset.batch(b);
         unique_[b].reserve(batch.numTables());
         for (size_t t = 0; t < batch.numTables(); ++t)
             unique_[b].push_back(
-                emb::countUnique(batch.ids(t), scratch));
+                emb::countUnique(batch.ids(t), rows, seen));
     });
 }
 

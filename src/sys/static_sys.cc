@@ -35,7 +35,7 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
 
     // The static cache never changes contents, so warm-up batches are
     // simply skipped.
-    std::vector<uint64_t> hit_ids, unique_scratch;
+    std::vector<uint64_t> hit_ids, seen;
     for (uint64_t i = warmup; i < warmup + iterations; ++i) {
         const auto &mini = dataset.batch(i);
 
@@ -54,9 +54,12 @@ StaticCacheSystem::simulate(const data::TraceDataset &dataset,
             misses += table_misses;
 
             // Unique counts within the hit/miss partitions size the
-            // coalesced scatters. The partition splits the batch's
-            // unique IDs too, so the miss side is what the hits leave.
-            const size_t u_hit = emb::countUnique(hit_ids, unique_scratch);
+            // coalesced scatters. Hits are the rows [0, cached_rows_),
+            // so one bitmap over that range counts them. The partition
+            // splits the batch's unique IDs too, so the miss side is
+            // what the hits leave.
+            const size_t u_hit =
+                emb::countUnique(hit_ids, cached_rows_, seen);
             const size_t u_miss = stats.unique(i, t) - u_hit;
 
             // The missed-ID backward (duplicate + coalesce + scatter)

@@ -252,6 +252,36 @@ TEST(TraceStore, CorruptEntryIsRegeneratedAndOverwritten)
     expectDatasetsEqual(original, warm);
 }
 
+TEST(TraceStore, OutOfRangeRowEntryIsRegeneratedAndOverwritten)
+{
+    TempStore store("out_of_range_row");
+    const TraceConfig config = smallConfig();
+    const TraceDataset original = store->acquire(config, 5);
+
+    {
+        // The last ID of the entry names a row past the table; the
+        // header and every index word stay valid.
+        std::fstream file(store->entryPath(config),
+                          std::ios::in | std::ios::out |
+                              std::ios::binary);
+        file.seekp(-static_cast<std::streamoff>(sizeof(uint64_t)),
+                   std::ios::end);
+        const uint64_t id = config.rows_per_table;
+        file.write(reinterpret_cast<const char *>(&id), sizeof(id));
+    }
+
+    TraceStore::AcquireInfo info;
+    const TraceDataset recovered = store->acquire(config, 5, &info);
+    EXPECT_FALSE(info.cache_hit);
+    EXPECT_EQ(info.load_status.code(), ErrorCode::Corrupt);
+    EXPECT_TRUE(info.published);
+    expectDatasetsEqual(original, recovered);
+
+    const TraceDataset warm = store->acquire(config, 5, &info);
+    EXPECT_TRUE(info.cache_hit);
+    expectDatasetsEqual(original, warm);
+}
+
 TEST(TraceStore, EntryForDifferentConfigReadsAsMissNotPoison)
 {
     // Plant config A's (valid!) entry at config B's path: the

@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/trace.h"
+#include "data/trace_format.h"
 #include "data/workload.h"
 
 namespace sp::data
@@ -417,6 +418,34 @@ TEST_F(ReplayTest, CorruptMagicClassifiesAsCorrupt)
         file.write("BADMAGIC", 8);
     }
     EXPECT_EQ(replayFailure(2), ErrorCode::Corrupt);
+}
+
+TEST_F(ReplayTest, OutOfRangeRowClassifiesAsCorrupt)
+{
+    // Every system indexes by row, so a trace naming a row outside its
+    // tables is refused at load instead of failing mid-run.
+    const TraceConfig config = shapedConfig();
+    const TraceDataset direct(config, 3);
+    // Batch 1, table 1, first ID: past batch 0, the index word and
+    // table 0's IDs.
+    const auto offset = static_cast<std::streamoff>(
+        format::headerBytes(config) + format::batchRecordBytes(config) +
+        sizeof(uint64_t) * (1 + direct.batch(1).idsPerTable()));
+    const auto savePatched = [&](uint64_t id) {
+        EXPECT_TRUE(direct.saveTo(path_).ok());
+        std::fstream file(path_,
+                          std::ios::in | std::ios::out |
+                              std::ios::binary);
+        file.seekp(offset);
+        file.write(reinterpret_cast<const char *>(&id), sizeof(id));
+    };
+
+    savePatched(config.rows_per_table - 1);
+    EXPECT_EQ(replayFailure(3), ErrorCode::Ok);
+    savePatched(config.rows_per_table);
+    EXPECT_EQ(replayFailure(3), ErrorCode::Corrupt);
+    savePatched(UINT64_MAX);
+    EXPECT_EQ(replayFailure(3), ErrorCode::Corrupt);
 }
 
 } // namespace

@@ -1,10 +1,15 @@
-/** @file Gather/reduce/coalesce/scatter kernel tests (paper Fig. 2). */
+/** @file Gather/reduce/coalesce/scatter and distinct-count kernel tests
+ *  (paper Fig. 2). */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
+#include "data/dataset.h"
 #include "emb/embedding_ops.h"
 
 namespace sp::emb
@@ -203,11 +208,89 @@ TEST(EmbeddingOps, FullBackwardEquivalentToPerLookupSgd)
             EXPECT_NEAR(table_a.row(r)[d], table_b.row(r)[d], 1e-5);
 }
 
+/** Distinct IDs by sort + unique: the oracle for the bitmap count. */
+size_t
+sortedUniqueCount(std::span<const uint64_t> ids)
+{
+    std::vector<uint64_t> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    return static_cast<size_t>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+}
+
+bool
+allZero(const std::vector<uint64_t> &seen)
+{
+    return std::all_of(seen.begin(), seen.end(),
+                       [](uint64_t word) { return word == 0; });
+}
+
 TEST(EmbeddingOps, CountUnique)
 {
-    const std::vector<uint64_t> ids = {4, 4, 1, 9, 1, 4};
-    EXPECT_EQ(countUnique(ids), 3u);
-    EXPECT_EQ(countUnique(std::vector<uint64_t>{}), 0u);
+    // 130 rows: the last of three words is partly outside the range.
+    constexpr uint64_t kRows = 130;
+    const std::vector<std::vector<uint64_t>> cases = {
+        {},
+        {4, 4, 1, 9, 1, 4},
+        {7, 7, 7, 7, 7},
+        {0, kRows - 1},
+        {kRows - 1, 0, kRows - 1, 0},
+        {63, 64, 127, 128, 129, 63, 128},
+    };
+    std::vector<uint64_t> seen;
+    for (const auto &ids : cases) {
+        EXPECT_EQ(countUnique(ids, kRows, seen), sortedUniqueCount(ids));
+        EXPECT_EQ(seen.size(), 3u); // ceil(130 / 64) words
+        EXPECT_TRUE(allZero(seen));
+    }
+}
+
+TEST(EmbeddingOps, CountUniqueMatchesSortOracleOnEveryLocality)
+{
+    data::TraceConfig config;
+    config.num_tables = 2;
+    config.rows_per_table = 5000;
+    config.lookups_per_table = 20;
+    config.batch_size = 64;
+    std::vector<uint64_t> seen;
+    for (const auto locality : data::kAllLocalities) {
+        config.locality = locality;
+        const data::TraceDataset dataset(config, 4);
+        for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
+            for (size_t t = 0; t < config.num_tables; ++t) {
+                const auto ids = dataset.batch(b).ids(t);
+                EXPECT_EQ(countUnique(ids, config.rows_per_table, seen),
+                          sortedUniqueCount(ids))
+                    << data::localityName(locality) << " batch " << b
+                    << " table " << t;
+            }
+        }
+    }
+    EXPECT_TRUE(allZero(seen));
+}
+
+TEST(EmbeddingOps, CountUniqueReusesOneBitmap)
+{
+    // The second call shares the first call's rows: a bitmap left
+    // dirty would count them as already seen.
+    std::vector<uint64_t> seen;
+    const std::vector<uint64_t> first = {3, 70, 3, 199};
+    const std::vector<uint64_t> second = {70, 5, 199, 5, 3};
+    EXPECT_EQ(countUnique(first, 200, seen), 3u);
+    EXPECT_EQ(countUnique(second, 200, seen), 4u);
+    EXPECT_TRUE(allZero(seen));
+}
+
+TEST(EmbeddingOps, CountUniqueOutOfRangeIdPanics)
+{
+    std::vector<uint64_t> seen;
+    EXPECT_THROW(countUnique(std::vector<uint64_t>{1, 2, 100}, 100, seen),
+                 PanicError);
+    EXPECT_THROW(countUnique(std::vector<uint64_t>{UINT64_MAX}, 100, seen),
+                 PanicError);
+    // The panic leaves the bitmap clear for the next call.
+    EXPECT_TRUE(allZero(seen));
+    EXPECT_EQ(countUnique(std::vector<uint64_t>{1, 2}, 100, seen), 2u);
 }
 
 TEST(EmbeddingOps, UniqueIdsSorted)

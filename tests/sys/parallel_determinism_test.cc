@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -22,7 +23,6 @@
 #include "data/dataset.h"
 #include "data/trace_store.h"
 #include "data/workload.h"
-#include "emb/embedding_ops.h"
 #include "sys/batch_stats.h"
 #include "sys/experiment.h"
 #include "sys/registry.h"
@@ -81,13 +81,19 @@ TEST(ParallelDeterminism, PooledBatchStatsMatchSerialCounts)
     const ModelConfig model = testModel();
     const data::TraceDataset dataset(model.trace, 10);
     const BatchStats stats(dataset, 10);
-    std::vector<uint64_t> scratch;
-    for (uint64_t b = 0; b < 10; ++b)
-        for (size_t t = 0; t < model.trace.num_tables; ++t)
-            ASSERT_EQ(stats.unique(b, t),
-                      emb::countUnique(dataset.batch(b).ids(t),
-                                       scratch))
+    for (uint64_t b = 0; b < 10; ++b) {
+        for (size_t t = 0; t < model.trace.num_tables; ++t) {
+            // Serial sort + unique oracle.
+            const auto ids = dataset.batch(b).ids(t);
+            std::vector<uint64_t> sorted(ids.begin(), ids.end());
+            std::sort(sorted.begin(), sorted.end());
+            const auto unique = static_cast<size_t>(
+                std::unique(sorted.begin(), sorted.end()) -
+                sorted.begin());
+            ASSERT_EQ(stats.unique(b, t), unique)
                 << "batch " << b << " table " << t;
+        }
+    }
 }
 
 std::vector<SystemSpec>

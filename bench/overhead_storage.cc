@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <iostream>
+#include <span>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "common/workload.h"
 #include "core/controller.h"
 #include "metrics/table_printer.h"
-#include "sys/plan_fanout.h"
 #include "sys/scratchpipe_sys.h"
 
 using namespace sp;
@@ -73,14 +75,21 @@ main(int argc, char **argv)
         trace.seed = 2027;
         data::TraceDataset dataset(trace, 12);
 
-        sys::PlanFanout fanout(trace.num_tables, options.future_window);
-        uint64_t peak_held = 0;
+        // One batch at a time, so every table's held count is read
+        // after each of its plans.
+        std::vector<uint64_t> held(trace.num_tables, 0);
         for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
-            fanout.run(controllers, dataset, b);
-            for (const auto &controller : controllers)
-                peak_held = std::max<uint64_t>(
-                    peak_held, controller.holdMask().heldCount());
+            common::parallelFor(trace.num_tables, [&](size_t t) {
+                std::vector<std::span<const uint64_t>> futures;
+                for (uint32_t d = 1; d <= options.future_window; ++d)
+                    if (const auto *next = dataset.lookAhead(b, d))
+                        futures.emplace_back(next->ids(t));
+                controllers[t].plan(dataset.batch(b).ids(t), futures);
+                held[t] = std::max<uint64_t>(
+                    held[t], controllers[t].holdMask().heldCount());
+            });
         }
+        const uint64_t peak_held = *std::max_element(held.begin(), held.end());
         double storage_bytes = 0.0, metadata_bytes = 0.0;
         for (const auto &controller : controllers) {
             storage_bytes +=

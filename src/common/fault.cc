@@ -201,7 +201,7 @@ sites()
          "completes with drops in RunResult::serving.dropped"},
         {"thread_pool.task",
          "the exception surfaces exactly once at the parallelFor "
-         "join or Completion::wait; remaining indices drain"},
+         "join; remaining indices drain"},
         {"trace_store.load",
          "the cached entry is treated as a miss; the trace is "
          "regenerated (and republished)"},

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 
+#include "common/args.h"
 #include "common/fault.h"
 #include "common/logging.h"
 
@@ -75,11 +79,10 @@ ThreadPool::workerLoop()
 namespace detail
 {
 
-/** Shared progress of one parallelFor / parallelForAsync call.
- *  Helpers may outlive the call (they run as soon as a worker frees
- *  up, which can be after the caller finished every index itself), so
- *  the state is kept alive by shared_ptr and owns a copy of the
- *  body. */
+/** Shared progress of one parallelFor call. Helpers may outlive the
+ *  call (they run as soon as a worker frees up, which can be after the
+ *  caller finished every index itself), so the state is kept alive by
+ *  shared_ptr and owns a copy of the body. */
 struct ForState
 {
     std::function<void(size_t)> fn;
@@ -128,85 +131,17 @@ struct ForState
             // splint:allow(hot-path-transitive-alloc): std::atomic::load, not TraceDataset::load -- severs the false edge
             return done.load(std::memory_order_acquire) == n;
         });
-        // Phase ordering: the barrier releases only after every index
+        // Phase ordering: the join releases only after every index
         // retired, and retirement is monotonic -- a count past n
         // means an index ran twice (double-drain of one state).
         SP_ASSERT(done.load(std::memory_order_acquire) == n,
-                  "Completion barrier released with ",
+                  "parallelFor join released with ",
                   done.load(std::memory_order_acquire), " of ", n,
                   " indices retired");
     }
 };
 
 } // namespace detail
-
-ThreadPool::Completion::~Completion()
-{
-    if (!state_)
-        return;
-    // In-flight tasks capture the body (and whatever it references);
-    // never let them outlive this scope. Errors were either observed
-    // by an explicit wait() or are deliberately dropped here (the
-    // pipeline only abandons a token while unwinding from the same
-    // root cause).
-    try {
-        wait();
-    } catch (...) {
-    }
-}
-
-ThreadPool::Completion &
-ThreadPool::Completion::operator=(Completion &&other) noexcept
-{
-    if (this != &other) {
-        if (state_) {
-            try {
-                wait();
-            } catch (...) {
-            }
-        }
-        state_ = std::move(other.state_);
-    }
-    return *this;
-}
-
-void
-ThreadPool::Completion::wait()
-{
-    if (!state_)
-        return;
-    // Release the token before rethrowing so a second wait() (or the
-    // destructor) is a no-op either way.
-    const std::shared_ptr<detail::ForState> state = std::move(state_);
-    state->finish();
-    // A waited token is inert: the move above must have emptied this
-    // Completion before any exception can propagate.
-    SP_ASSERT(!pending(), "Completion still pending after its barrier");
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->error)
-        std::rethrow_exception(state->error);
-}
-
-ThreadPool::Completion
-ThreadPool::parallelForAsync(size_t n, std::function<void(size_t)> fn,
-                             size_t max_helpers)
-{
-    Completion token;
-    if (n == 0)
-        return token;
-    auto state = std::make_shared<detail::ForState>();
-    state->fn = std::move(fn);
-    state->n = n;
-    // Unlike the synchronous form the caller is not a lane until it
-    // wait()s, so up to n helpers are useful. Zero helpers (pool of
-    // busy workers, max_helpers == 0) is still correct: wait() drains
-    // every index on the caller.
-    const size_t helpers = std::min({size(), n, max_helpers});
-    for (size_t h = 0; h < helpers; ++h)
-        enqueue([state] { state->drain(); });
-    token.state_ = std::move(state);
-    return token;
-}
 
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn,
@@ -256,9 +191,19 @@ size_t
 ThreadPool::defaultThreads()
 {
     if (const char *env = std::getenv("SP_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<size_t>(parsed);
+        // Digits only and at most kMaxJobs, like --jobs: a typo must
+        // not pick a width silently, nor a stray digit spawn
+        // thousands of threads. An unsigned from_chars takes no sign
+        // or blank and reports overflow.
+        const char *end = env + std::strlen(env);
+        uint64_t jobs = 0;
+        const auto [stop, error] = std::from_chars(env, end, jobs);
+        fatalIf(error != std::errc() || stop != end ||
+                    jobs > static_cast<uint64_t>(kMaxJobs),
+                "SP_JOBS must be decimal digits in 0..", kMaxJobs,
+                " (0 = every core), got '", env, "'");
+        if (jobs > 0)
+            return static_cast<size_t>(jobs);
     }
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware == 0 ? 1 : hardware;

@@ -300,6 +300,11 @@ ScratchPipeController::worstCaseSlots(uint32_t past_window,
     // Every batch in the window (past + current + future) may pin a
     // fully distinct set of IDs.
     const uint64_t batches = past_window + 1ull + future_window;
+    // Slot indices are 32-bit, and 2^32 - 1 is the Hit-Map's miss
+    // sentinel. Dividing instead of multiplying keeps the test exact.
+    fatalIf(ids_per_batch > 0xfffffffeull / batches,
+            "worst-case window working set of ", batches, " x ",
+            ids_per_batch, " slots exceeds the 32-bit slot space");
     return static_cast<uint32_t>(batches * ids_per_batch);
 }
 

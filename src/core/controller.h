@@ -219,7 +219,8 @@ class ScratchPipeController
 
     /**
      * Minimum slots that guarantee plan() can never fail: every ID of
-     * every batch in the window distinct (paper §VI-D worst case).
+     * every batch in the window distinct (paper §VI-D worst case). A
+     * count that does not fit the 32-bit slot space is a FatalError.
      */
     static uint32_t worstCaseSlots(uint32_t past_window,
                                    uint32_t future_window,

@@ -1,6 +1,7 @@
 #include "sys/scratchpipe_sys.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -32,13 +33,18 @@ scratchpadSlots(const ModelConfig &model, const ScratchPipeOptions &options)
             slots, core::ScratchPipeController::worstCaseSlots(
                        pw, fw, model.trace.idsPerTable()));
     }
-    return static_cast<uint32_t>(std::min<uint64_t>(slots, rows));
+    slots = std::min<uint64_t>(slots, rows);
+    // Slot indices are 32-bit, and 2^32 - 1 is the Hit-Map's miss
+    // sentinel.
+    fatalIf(slots >= 0xffffffffull, "scratchpad of ", slots,
+            " slots per table exceeds the 32-bit slot space");
+    return static_cast<uint32_t>(slots);
 }
 
-std::vector<core::ScratchPipeController>
-makeScratchpadControllers(const ModelConfig &model,
-                          const ScratchPipeOptions &options,
-                          cache::SlotArray::Backing backing)
+core::ScratchPipeController
+makeScratchpadController(const ModelConfig &model,
+                         const ScratchPipeOptions &options,
+                         cache::SlotArray::Backing backing, size_t table)
 {
     core::ControllerConfig cc;
     cc.num_slots = scratchpadSlots(model, options);
@@ -55,12 +61,20 @@ makeScratchpadControllers(const ModelConfig &model,
             ? static_cast<uint32_t>(common::ThreadPool::global().size())
             : options.plan_shards;
     cc.probe = options.probe;
+    cc.policy_seed = 0x5eed + table;
+    return core::ScratchPipeController(cc);
+}
+
+std::vector<core::ScratchPipeController>
+makeScratchpadControllers(const ModelConfig &model,
+                          const ScratchPipeOptions &options,
+                          cache::SlotArray::Backing backing)
+{
     std::vector<core::ScratchPipeController> controllers;
     controllers.reserve(model.trace.num_tables);
-    for (size_t t = 0; t < model.trace.num_tables; ++t) {
-        cc.policy_seed = 0x5eed + t;
-        controllers.emplace_back(cc);
-    }
+    for (size_t t = 0; t < model.trace.num_tables; ++t)
+        controllers.push_back(
+            makeScratchpadController(model, options, backing, t));
     return controllers;
 }
 
@@ -98,11 +112,6 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
         static_cast<double>(tables_per_gpu * n_per_table);
     using CpuPath = sim::LatencyModel::CpuPath;
 
-    // Real controllers (phantom storage) drive hit/miss behaviour.
-    std::vector<core::ScratchPipeController> controllers =
-        makeScratchpadControllers(model_, options_,
-                                  cache::SlotArray::Backing::Phantom);
-
     // Stage demand accumulators, averaged after the loop.
     const char *stage_names[6] = {"Load",     "Plan",   "Collect",
                                   "Exchange", "Insert", "Train"};
@@ -124,18 +133,11 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const double param_bytes =
         static_cast<double>(dlrm.parameterCount()) * sizeof(float);
 
-    // Tables are independent (one controller each), so their [Plan]
-    // stages fan out across the shared pool.
-    PlanFanout fanout(trace.num_tables,
-                      controllers.front().config().future_window);
-
     // Demand/traffic accounting for one measured batch: a pure
     // reduction over that batch's per-table outcomes into the stage
-    // accumulators. Nothing here touches the controllers, which is
-    // what lets the next batch's plans overlap it.
+    // accumulators.
     const auto account = [&](uint64_t i,
-                             const std::vector<TablePlanOutcome>
-                                 &outcomes) {
+                             std::span<const TablePlanOutcome> outcomes) {
         // Shared CPU DRAM serves every GPU's fills and write-backs;
         // each GPU's HBM and PCIe lanes carry only its own tables', so
         // the peak GPU binds those.
@@ -244,18 +246,29 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
         }
     };
 
-    // Warm-up batches run through the controllers (populating the
-    // scratchpad toward steady state, as the paper's measurements do)
-    // but contribute nothing to the timing accumulators. With
-    // overlap_planning, batch i+1's plans fan out while batch i's
-    // outcomes reduce into the accumulators on this thread.
-    fanout.forEachBatch(
-        controllers, dataset, warmup + iterations,
-        options_.overlap_planning,
-        [&](uint64_t i, const std::vector<TablePlanOutcome> &outcomes) {
-            if (i >= warmup)
-                account(i, outcomes);
-        });
+    // Real controllers (phantom storage) drive hit/miss behaviour.
+    // Table t's plans depend only on its own earlier plans, so each
+    // table is one pool task that builds its controller, streams it
+    // through every batch and frees it: at most one controller per
+    // pool lane is alive, and no barrier joins the tables between
+    // batches. Warm-up batches run through the controllers
+    // (populating the scratchpad toward steady state, as the paper's
+    // measurements do) but contribute nothing to the accumulators.
+    const size_t tables = trace.num_tables;
+    const uint64_t batches = warmup + iterations;
+    std::vector<TablePlanOutcome> outcomes(batches * tables);
+    std::vector<uint64_t> storage_bytes(tables);
+    std::vector<size_t> metadata_bytes(tables);
+    common::parallelFor(tables, [&](size_t t) {
+        core::ScratchPipeController controller = makeScratchpadController(
+            model_, options_, cache::SlotArray::Backing::Phantom, t);
+        planTableStream(controller, dataset, t, tables, outcomes);
+        storage_bytes[t] = controller.storage().storageBytes();
+        metadata_bytes[t] = controller.metadataBytes();
+    });
+    for (uint64_t i = warmup; i < batches; ++i)
+        account(i, std::span<const TablePlanOutcome>(outcomes).subspan(
+                       i * tables, tables));
 
     // Average demands over the measured iterations.
     const double inv = 1.0 / static_cast<double>(iterations);
@@ -297,9 +310,9 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
 
     result.hit_rate = hitRate(total_hits, total_ids);
     double gpu_bytes = 0.0;
-    for (const auto &controller : controllers) {
-        gpu_bytes += static_cast<double>(controller.storage().storageBytes());
-        gpu_bytes += static_cast<double>(controller.metadataBytes());
+    for (size_t t = 0; t < tables; ++t) {
+        gpu_bytes += static_cast<double>(storage_bytes[t]);
+        gpu_bytes += static_cast<double>(metadata_bytes[t]);
     }
     result.gpu_bytes = gpu_bytes;
     return result;

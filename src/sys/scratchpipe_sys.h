@@ -61,13 +61,10 @@ struct ScratchPipeOptions
      */
     bool warm_start = true;
     /**
-     * Engine knob (no effect on modeled timings): overlap batch
-     * i+1's per-table [Plan] fan-out with batch i's demand/traffic
-     * accounting -- the simulator's two-deep software pipeline.
-     * Accounting is a pure reduction over the previous batch's
-     * outcomes, so results are bit-identical with or without the
-     * overlap; this only changes how the host schedules the work.
-     * Spec key: overlap=0/1.
+     * Unused: each table streams through every batch on its own pool
+     * task, so there is no batch pipeline left to overlap. No spec
+     * key sets it; it stays only because the perfbench driver reads
+     * it, and goes with ROADMAP item 1.
      */
     bool overlap_planning = true;
     /**
@@ -112,16 +109,25 @@ struct ScratchPipeOptions
  * is rejected) of each table's rows, at least one slot, grown to the
  * §VI-D worst-case window working set under `enforce_capacity_bound`,
  * and never more than the table has rows. The straw-man
- * (`pipelined == false`) plans with both windows at zero.
+ * (`pipelined == false`) plans with both windows at zero. A count
+ * that does not fit the 32-bit slot space (2^32 - 1 and up is the
+ * Hit-Map's miss sentinel) is a FatalError.
  */
 uint32_t scratchpadSlots(const ModelConfig &model,
                          const ScratchPipeOptions &options);
 
 /**
- * One controller per table of `model`, scratchpadSlots() slots each,
- * table t seeded 0x5eed + t. `plan_shards == 0` resolves to one shard
- * per pool thread. `overlap_planning` and `gpus` are the caller's.
+ * Table `table`'s controller: scratchpadSlots() slots, seeded
+ * 0x5eed + table. `plan_shards == 0` resolves to one shard per pool
+ * thread. `gpus` is the caller's.
  */
+core::ScratchPipeController
+makeScratchpadController(const ModelConfig &model,
+                         const ScratchPipeOptions &options,
+                         cache::SlotArray::Backing backing, size_t table);
+
+/** makeScratchpadController() for every table of `model`, for callers
+ *  that keep all of them alive across batches. */
 std::vector<core::ScratchPipeController>
 makeScratchpadControllers(const ModelConfig &model,
                           const ScratchPipeOptions &options,

@@ -12,10 +12,9 @@
  *   "hybrid"
  *   "static:cache=0.02"
  *   "scratchpipe:cache=0.05,policy=lfu,past=4,future=2,warm=0"
- *   "scratchpipe:overlap=1,shard=8"   (engine knobs: two-deep plan
- *                                      pipeline / mark-pass shards --
- *                                      bit-identical results, perf
- *                                      only)
+ *   "scratchpipe:shard=8"             (engine knob: mark-pass
+ *                                      shards -- bit-identical
+ *                                      results, perf only)
  *   "scratchpipe:probe=scalar"        (pin the batched Hit-Map probe
  *                                      kernel: auto|scalar|native;
  *                                      bit-identical, perf only)

@@ -6,9 +6,9 @@
  * behavior for whichever one is active: enabled builds must throw
  * PanicError on a violated SP_ASSERT, disabled builds must not even
  * evaluate the condition. The invariant-bearing code paths (Hit-Map
- * backward-shift erase, ThreadPool Completion barrier, TraceView
- * header validation) are then churned hard enough that a broken
- * invariant would trip its check in the SP_CHECK=ON CI jobs.
+ * backward-shift erase, TraceView header validation) are then churned
+ * hard enough that a broken invariant would trip its check in the
+ * SP_CHECK=ON CI jobs.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 
 #include "cache/hit_map.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "data/trace_view.h"
 
@@ -107,19 +106,6 @@ TEST(CheckedInvariants, HitMapEraseChurnKeepsChainsProbeable)
     EXPECT_EQ(map.size(), live.size());
     for (const uint64_t key : live)
         EXPECT_NE(map.find(key), cache::HitMap::kNotFound) << key;
-}
-
-TEST(CheckedInvariants, CompletionBarrierRetiresEveryIndex)
-{
-    common::ThreadPool pool(4);
-    std::vector<int> out(257, 0);
-    common::ThreadPool::Completion token = pool.parallelForAsync(
-        out.size(),
-        [&out](size_t i) { out[i] = static_cast<int>(i) + 1; });
-    token.wait(); // SP_CHECK: asserts done==n and !pending() inside
-    EXPECT_FALSE(token.pending());
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], static_cast<int>(i) + 1);
 }
 
 TEST(CheckedInvariants, TraceViewRoundTripSatisfiesSizeInvariant)

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace sp::common
@@ -81,133 +86,6 @@ TEST(ThreadPool, SingleWorkerRunsInline)
     EXPECT_EQ(order, expected);
 }
 
-TEST(ThreadPool, AsyncCompletionCoversEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
-    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
-                           size_t{1000}}) {
-        std::vector<std::atomic<int>> hits(n);
-        auto token = pool.parallelForAsync(
-            n, [&hits](size_t i) { ++hits[i]; });
-        token.wait();
-        EXPECT_FALSE(token.pending());
-        for (size_t i = 0; i < n; ++i)
-            ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(ThreadPool, AsyncOverlapsCallerWork)
-{
-    // The point of the token: the caller keeps doing its own work
-    // between launch and wait(), and both sides' results are intact
-    // at the barrier -- the engine's two-deep planning pipeline in
-    // miniature.
-    ThreadPool pool(2);
-    std::vector<uint64_t> out(512);
-    auto token = pool.parallelForAsync(
-        out.size(), [&out](size_t i) { out[i] = i + 1; });
-    uint64_t own = 0;
-    for (uint64_t i = 0; i < 1000; ++i)
-        own += i;
-    token.wait();
-    EXPECT_EQ(own, 499'500u);
-    for (size_t i = 0; i < out.size(); ++i)
-        ASSERT_EQ(out[i], i + 1);
-}
-
-TEST(ThreadPool, AsyncWaitRethrowsFirstErrorOnce)
-{
-    ThreadPool pool(4);
-    auto token = pool.parallelForAsync(100, [](size_t i) {
-        if (i == 37)
-            throw std::runtime_error("bad");
-    });
-    EXPECT_THROW(token.wait(), std::runtime_error);
-    // The token is spent after the rethrow; waiting again is a no-op.
-    EXPECT_FALSE(token.pending());
-    token.wait();
-}
-
-TEST(ThreadPool, AsyncErrorSkipsRemainingIndicesButRetiresThem)
-{
-    // Zero helpers pins the whole index space on the caller, in
-    // order, so the post-error behaviour is deterministic: indices
-    // before the throw run, indices after it are skipped, and yet the
-    // barrier retires all of them -- the wait() neither hangs nor
-    // reruns the body.
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    auto token = pool.parallelForAsync(
-        10,
-        [&ran](size_t i) {
-            if (i == 2)
-                throw std::runtime_error("bad");
-            ++ran;
-        },
-        /*max_helpers=*/0);
-    EXPECT_THROW(token.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 2);
-    // Surfaced exactly once: the spent token is silent from here on.
-    EXPECT_FALSE(token.pending());
-    token.wait();
-}
-
-TEST(ThreadPool, AsyncDropAfterErrorDoesNotTerminate)
-{
-    // Dropping a token whose body threw must swallow the error in the
-    // destructor (the pipeline only abandons a token while unwinding
-    // from the same root cause), never std::terminate.
-    ThreadPool pool(2);
-    {
-        auto token = pool.parallelForAsync(
-            8, [](size_t) { throw std::runtime_error("bad"); });
-    }
-    SUCCEED();
-}
-
-TEST(ThreadPool, AsyncCompletesWithZeroHelpers)
-{
-    // max_helpers == 0 enqueues nothing: wait() must drain every
-    // index on the caller (completion never depends on pool
-    // capacity).
-    ThreadPool pool(2);
-    std::vector<int> out(64, 0);
-    auto token = pool.parallelForAsync(
-        out.size(), [&out](size_t i) { out[i] = 1; },
-        /*max_helpers=*/0);
-    token.wait();
-    for (const int value : out)
-        ASSERT_EQ(value, 1);
-}
-
-TEST(ThreadPool, AsyncDropWithoutWaitFinishesTasks)
-{
-    // A dropped pending token blocks in its destructor until the body
-    // is done with everything it captured -- locals below must not be
-    // written after scope exit.
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    {
-        auto token = pool.parallelForAsync(
-            200, [&count](size_t) { ++count; });
-    }
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, AsyncMoveAssignRetiresPreviousToken)
-{
-    ThreadPool pool(2);
-    std::atomic<int> first{0}, second{0};
-    auto token = pool.parallelForAsync(
-        64, [&first](size_t) { ++first; });
-    token = pool.parallelForAsync(
-        32, [&second](size_t) { ++second; });
-    // Assignment waits the first launch before adopting the second.
-    EXPECT_EQ(first.load(), 64);
-    token.wait();
-    EXPECT_EQ(second.load(), 32);
-}
-
 TEST(ThreadPool, GlobalPoolIsUsableAndSized)
 {
     ThreadPool &pool = ThreadPool::global();
@@ -220,6 +98,65 @@ TEST(ThreadPool, GlobalPoolIsUsableAndSized)
 TEST(ThreadPool, DefaultThreadsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+/** Sets SP_JOBS for one scope and restores the caller's value (CI
+ *  runs some suites with SP_JOBS set). */
+class ScopedJobsEnv
+{
+  public:
+    explicit ScopedJobsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("SP_JOBS"))
+            old_ = old;
+        ::setenv("SP_JOBS", value, 1);
+    }
+    ~ScopedJobsEnv()
+    {
+        if (old_)
+            ::setenv("SP_JOBS", old_->c_str(), 1);
+        else
+            ::unsetenv("SP_JOBS");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
+
+TEST(ThreadPool, DefaultThreadsReadsSpJobsLikeJobs)
+{
+    // defaultThreads() only returns a count; no pool is built here.
+    const size_t every_core = [] {
+        ScopedJobsEnv env("0");
+        return ThreadPool::defaultThreads();
+    }();
+    EXPECT_GE(every_core, 1u);
+    for (const auto &[text, expected] :
+         {std::pair<const char *, size_t>{"1", 1}, {"8", 8},
+          {"0008", 8}, {"4096", 4096}, {"0", every_core}}) {
+        ScopedJobsEnv env(text);
+        EXPECT_EQ(ThreadPool::defaultThreads(), expected) << text;
+    }
+}
+
+TEST(ThreadPool, DefaultThreadsRejectsMalformedSpJobs)
+{
+    for (const char *text :
+         {"8x", "5000", "4097", "-3", "abc", "", " 4", "+4", "0x10",
+          "99999999999999999999"}) {
+        ScopedJobsEnv env(text);
+        try {
+            (void)ThreadPool::defaultThreads();
+            ADD_FAILURE() << "SP_JOBS='" << text << "' was accepted";
+        } catch (const FatalError &e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("SP_JOBS"), std::string::npos)
+                << message;
+            EXPECT_NE(message.find(std::string("'") + text + "'"),
+                      std::string::npos)
+                << message;
+        }
+    }
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.h"
@@ -146,6 +148,32 @@ TEST(Controller, WorstCaseSlotsFormula)
     EXPECT_EQ(ScratchPipeController::worstCaseSlots(3, 2, 40960),
               6u * 40960);
     EXPECT_EQ(ScratchPipeController::worstCaseSlots(0, 0, 128), 128u);
+}
+
+TEST(Controller, WorstCaseSlotsRejectCountsPastTheSlotSpace)
+{
+    // 6 x 2^30 used to wrap to 2^31. 2^32 - 1 is the Hit-Map's miss
+    // sentinel, so 2^32 - 2 is the largest count that fits.
+    for (const auto &[past, future, ids] :
+         {std::tuple<uint32_t, uint32_t, size_t>{3, 2, size_t{1} << 30},
+          {0, 0, 0xffffffffull},
+          {1, 0, size_t{1} << 31},
+          {0xffffffffu, 0xffffffffu, 0xffffffffull}}) {
+        try {
+            ScratchPipeController::worstCaseSlots(past, future, ids);
+            ADD_FAILURE() << past << "," << future << "," << ids
+                          << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "exceeds the 32-bit slot space"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(ScratchPipeController::worstCaseSlots(0, 0, 0xfffffffeull),
+              0xfffffffeu);
+    EXPECT_EQ(ScratchPipeController::worstCaseSlots(1, 0, 0x7fffffffull),
+              0xfffffffeu);
 }
 
 TEST(Controller, WorstCaseSlotsSufficeForAdversarialTrace)

@@ -99,7 +99,7 @@ TEST(ParallelDeterminism, PooledBatchStatsMatchSerialCounts)
 std::vector<SystemSpec>
 sweepSpecs(const std::string &engine_suffix = "")
 {
-    // The engine knobs (overlap=, shard=) only exist on the
+    // The engine knobs (shard=, probe=) only exist on the
     // scratchpad systems; the other design points ride along in every
     // sweep so the whole spec list is compared at once.
     return {SystemSpec::parse("hybrid"),
@@ -141,16 +141,15 @@ TEST(ParallelDeterminism, JobsSweepJsonBitIdenticalToSequential)
 
 TEST(ParallelDeterminism, EngineModeMatrixBitIdentical)
 {
-    // The pipelined/sharded planning engine must not change a single
-    // byte of output: every combination of {serial, pipelined,
-    // sharded, pipelined+sharded} x jobs in {1, 4} serialises to the
-    // fully-serial sweep's JSON. Widen the pool so the matrix crosses
-    // real threads even on a single-core host.
+    // The sharded planning engine must not change a single byte of
+    // output: every combination of {unsharded, sharded} x jobs in
+    // {1, 4} serialises to the fully-serial sweep's JSON. Widen the
+    // pool so the matrix crosses real threads even on a single-core
+    // host.
     if (common::ThreadPool::global().size() < 4)
         common::ThreadPool::setGlobalThreads(4);
-    const std::string baseline = sweepJson(1, "overlap=0,shard=1");
-    const char *modes[] = {"overlap=0,shard=1", "overlap=1,shard=1",
-                           "overlap=0,shard=4", "overlap=1,shard=4"};
+    const std::string baseline = sweepJson(1, "shard=1");
+    const char *modes[] = {"shard=1", "shard=4"};
     for (const char *mode : modes) {
         for (const uint32_t jobs : {1u, 4u}) {
             EXPECT_EQ(baseline, sweepJson(jobs, mode))
@@ -169,11 +168,9 @@ TEST(ParallelDeterminism, ProbeKernelMatrixBitIdentical)
     // concurrently on subranges of one table.
     if (common::ThreadPool::global().size() < 4)
         common::ThreadPool::setGlobalThreads(4);
-    const std::string baseline =
-        sweepJson(1, "overlap=0,shard=1,probe=scalar");
+    const std::string baseline = sweepJson(1, "shard=1,probe=scalar");
     for (const char *probe : {"probe=scalar", "probe=native"}) {
-        for (const char *engine :
-             {"overlap=0,shard=1", "overlap=1,shard=0"}) {
+        for (const char *engine : {"shard=1", "shard=0"}) {
             for (const uint32_t jobs : {1u, 4u}) {
                 EXPECT_EQ(baseline,
                           sweepJson(jobs, std::string(engine) + "," +
@@ -211,7 +208,7 @@ TEST(ParallelDeterminism, DriftingAlphaSweepBitIdenticalAcrossJobs)
     const std::string spec = "drift_amp=0.4,drift_period=3,phase=2";
     const std::string serial = shapedSweepJson(1, spec);
     EXPECT_EQ(serial, shapedSweepJson(4, spec));
-    EXPECT_EQ(serial, shapedSweepJson(4, spec, "overlap=1,shard=4"));
+    EXPECT_EQ(serial, shapedSweepJson(4, spec, "shard=4"));
     EXPECT_EQ(serial, shapedSweepJson(4, spec, "probe=native"));
     // And the shaping is live, not a no-op that trivially matches.
     EXPECT_NE(serial, sweepJson(1));
@@ -313,8 +310,7 @@ TEST(ParallelDeterminism, AutoShardWidthBitIdentical)
 {
     // shard=0 resolves to the pool width on whatever host runs the
     // test; output must still match the serial sweep exactly.
-    EXPECT_EQ(sweepJson(1, "overlap=0,shard=1"),
-              sweepJson(4, "overlap=1,shard=0"));
+    EXPECT_EQ(sweepJson(1, "shard=1"), sweepJson(4, "shard=0"));
 }
 
 TEST(ParallelDeterminism, RunAllBadSpecFailsFastBeforeTheFanOut)

@@ -185,6 +185,22 @@ TEST(SystemSpec, RejectsMalformedInput)
         EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
 }
 
+TEST(SystemSpec, RejectsTheDeletedOverlapKey)
+{
+    // Each table streams through every batch on its own pool task, so
+    // no batch pipeline is left for overlap= to switch.
+    for (const char *text : {"scratchpipe:overlap=1", "strawman:overlap=0"}) {
+        try {
+            SystemSpec::parse(text);
+            ADD_FAILURE() << text << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown key 'overlap'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SystemSpec, RejectsDuplicateKeysInsteadOfLastWin)
 {
     // Pre-fix, policy=lfu,policy=lru silently simulated LRU -- a

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/logging.h"
 #include "core/controller.h"
 #include "sys/hybrid.h"
@@ -240,6 +243,31 @@ TEST(TimingScratchPipe, CapacityBoundEnforced)
               core::ScratchPipeController::worstCaseSlots(
                   3, 2, w.model.trace.idsPerTable()));
     EXPECT_NO_THROW(system.simulate(w.dataset, w.stats, w.iters));
+}
+
+TEST(TimingScratchPipe, SlotCountPastThe32BitSlotSpaceIsFatal)
+{
+    // Sizing only: scratchpadSlots() allocates nothing. These counts
+    // used to wrap to 5 and 705,032,704 slots.
+    ModelConfig model = testModel(data::Locality::Medium);
+    for (const auto &[rows, fraction] :
+         {std::pair<uint64_t, double>{(1ull << 32) + 5, 1.0},
+          {50'000'000'000ull, 0.1}}) {
+        model.trace.rows_per_table = rows;
+        try {
+            scratchpadSlots(model, spOptions(fraction, true));
+            ADD_FAILURE() << rows << " rows at " << fraction
+                          << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "exceeds the 32-bit slot space"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // 2^32 - 1 is the Hit-Map's miss sentinel; one below it fits.
+    model.trace.rows_per_table = 0xfffffffeull;
+    EXPECT_EQ(scratchpadSlots(model, spOptions(1.0, true)), 0xfffffffeu);
 }
 
 TEST(TimingScratchPipe, TrainBoundAtHighLocality)

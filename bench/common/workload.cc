@@ -53,8 +53,8 @@ addCommonFlags(ArgParser &args)
 {
     args.addInt("jobs", 0,
                 "worker threads for every parallel site (trace "
-                "generation, per-table planning, sharded mark passes, "
-                "pooled sweeps); 0 = all cores");
+                "generation, per-table planning, pooled sweeps); "
+                "0 = all cores");
     args.addBool("no-trace-cache",
                  "regenerate the trace instead of serving it from the "
                  "content-addressed cache (SP_TRACE_CACHE, default "

@@ -45,8 +45,8 @@ uint64_t measureIterations();
 
 /**
  * Register the shared driver flags: --jobs (worker threads for every
- * parallel site: trace generation, per-table planning, sharded mark
- * passes, pooled sweeps; 0 = all cores, default leaves the pool at
+ * parallel site: trace generation, per-table planning, pooled sweeps;
+ * 0 = all cores, default leaves the pool at
  * ThreadPool::defaultThreads()), --no-trace-cache (regenerate the
  * trace instead of serving it from the content-addressed cache), and
  * --workload (shaping spec or replay=FILE, overlaid on every workload

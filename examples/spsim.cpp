@@ -29,7 +29,6 @@
 #include <sstream>
 #include <vector>
 
-#include "cache/probe_kernel.h"
 #include "common/args.h"
 #include "common/fault.h"
 #include "common/logging.h"
@@ -345,10 +344,7 @@ main(int argc, char **argv)
             std::cout << "generating trace ("
                       << (options.warmup + options.iterations + 2)
                       << " batches of " << model.trace.idsPerBatch()
-                      << " IDs); probe kernel: "
-                      << cache::selectProbeKernel(cache::ProbeMode::Auto)
-                             .name
-                      << " (SP_SIMD / probe= to change)\n";
+                      << " IDs)\n";
         }
         const sys::ExperimentRunner runner(model, hw, options);
         std::vector<sys::RunResult> results;

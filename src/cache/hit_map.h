@@ -18,6 +18,11 @@
  * (cache/probe_kernel.h): scalar software-pipelined reference or AVX2
  * gather, selected at runtime (SP_SIMD / setProbeMode) and
  * bit-identical by the equivalence harness.
+ *
+ * No simulator path uses it: the caches look rows up in a
+ * cache::RowIndex, and the timing model charges the GPU Hit-Map by
+ * formula. Only the perfbench driver's cache.* layers time it; it goes
+ * with ROADMAP item 1.
  */
 
 #ifndef SP_CACHE_HIT_MAP_H

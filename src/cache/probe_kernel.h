@@ -2,12 +2,10 @@
  * @file
  * Batched Hit-Map probe kernels with runtime dispatch.
  *
- * HitMap::findMany is the hottest loop of the whole simulator -- the
- * [Plan] pre-probe runs it for every table of every batch -- and its
- * layout (parallel open-addressed arrays: 64-bit keys, 32-bit slots)
- * keeps the probe-deciding key array dense and gather-friendly, so
- * the batched probe is implemented as a family of kernels over the
- * raw arrays:
+ * HitMap::findMany's layout (parallel open-addressed arrays: 64-bit
+ * keys, 32-bit slots) keeps the probe-deciding key array dense and
+ * gather-friendly, so the batched probe is implemented as a family of
+ * kernels over the raw arrays:
  *
  *   scalar  the software-pipelined prefetch-ring reference (always
  *           compiled; the ground truth every other kernel must match
@@ -22,10 +20,11 @@
  *           rest of the binary stays portable).
  *
  * Selection: ProbeMode::Auto follows the SP_SIMD environment variable
- * (scalar | native), Scalar/Native pin it per HitMap via the probe=
- * system-spec key. Every kernel returns byte-identical results --
- * enforced by tests/cache/probe_kernel_equivalence_test.cc -- so the
- * choice is a pure perf knob.
+ * (scalar | native), Scalar/Native pin it per HitMap. Every kernel
+ * returns byte-identical results -- enforced by
+ * tests/cache/probe_kernel_equivalence_test.cc -- so the choice is a
+ * pure perf knob. Like HitMap itself, only the perfbench driver still
+ * runs these kernels; they go with ROADMAP item 1.
  */
 
 #ifndef SP_CACHE_PROBE_KERNEL_H
@@ -111,7 +110,7 @@ struct ProbeKernel
     bool (*supported)();     //!< host CPU can execute it right now
 };
 
-/** Per-HitMap kernel selection (spec key probe=auto|scalar|native). */
+/** Per-HitMap kernel selection (auto|scalar|native). */
 enum class ProbeMode
 {
     Auto,   //!< follow the process-wide SP_SIMD preference
@@ -139,10 +138,10 @@ std::vector<const ProbeKernel *> compiledProbeKernels();
  */
 const ProbeKernel &selectProbeKernel(ProbeMode mode);
 
-/** Parse a probe= spec value (auto|scalar|native); fatal()s otherwise. */
+/** Parse a probe mode name (auto|scalar|native); fatal()s otherwise. */
 ProbeMode probeModeFromName(const std::string &name);
 
-/** Spec-key spelling of `mode`. */
+/** Name of `mode` (auto|scalar|native). */
 const char *probeModeName(ProbeMode mode);
 
 } // namespace sp::cache

@@ -9,7 +9,6 @@ namespace sp::cache
 
 StaticCache::StaticCache(std::span<const uint64_t> cached_rows, size_t dim)
     : cached_rows_(cached_rows.begin(), cached_rows.end()),
-      map_(cached_rows.size()),
       storage_(cached_rows.empty()
                    ? 1
                    : static_cast<uint32_t>(cached_rows.size()),
@@ -18,7 +17,7 @@ StaticCache::StaticCache(std::span<const uint64_t> cached_rows, size_t dim)
     fatalIf(cached_rows.empty(),
             "a static cache needs at least one cached row");
     for (uint32_t slot = 0; slot < cached_rows_.size(); ++slot)
-        map_.insert(cached_rows_[slot], slot);
+        index_.insert(cached_rows_[slot], slot);
 }
 
 QuerySplit
@@ -26,7 +25,7 @@ StaticCache::query(std::span<const uint64_t> ids) const
 {
     QuerySplit split;
     for (const uint64_t id : ids) {
-        if (map_.contains(id))
+        if (index_.contains(id))
             ++split.hits;
         else
             ++split.misses;
@@ -57,8 +56,8 @@ StaticCache::flushTo(emb::EmbeddingTable &table) const
 float *
 StaticCache::Accessor::row(uint64_t id)
 {
-    const uint32_t slot = cache_.map_.find(id);
-    panicIf(slot == HitMap::kNotFound,
+    const uint32_t slot = cache_.index_.find(id);
+    panicIf(slot == RowIndex::kNotFound,
             "static cache accessor asked for non-cached row ", id);
     return cache_.storage_.slot(slot);
 }
@@ -66,8 +65,8 @@ StaticCache::Accessor::row(uint64_t id)
 const float *
 StaticCache::Accessor::row(uint64_t id) const
 {
-    const uint32_t slot = cache_.map_.find(id);
-    panicIf(slot == HitMap::kNotFound,
+    const uint32_t slot = cache_.index_.find(id);
+    panicIf(slot == RowIndex::kNotFound,
             "static cache accessor asked for non-cached row ", id);
     return cache_.storage_.slot(slot);
 }

@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "cache/hit_map.h"
+#include "cache/row_index.h"
 #include "cache/slot_array.h"
 #include "emb/embedding_table.h"
 
@@ -49,8 +49,8 @@ class StaticCache
     /** Count a batch's hits and misses. */
     QuerySplit query(std::span<const uint64_t> ids) const;
 
-    /** Slot for `id`, or HitMap::kNotFound. */
-    uint32_t slotFor(uint64_t id) const { return map_.find(id); }
+    /** Slot for `id`, or RowIndex::kNotFound. */
+    uint32_t slotFor(uint64_t id) const { return index_.find(id); }
 
     /** Copy the cached rows' current values from a dense table. */
     void fillFrom(const emb::EmbeddingTable &table);
@@ -75,7 +75,7 @@ class StaticCache
 
   private:
     std::vector<uint64_t> cached_rows_;
-    HitMap map_;
+    RowIndex index_;
     SlotArray storage_;
 };
 

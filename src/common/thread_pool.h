@@ -4,8 +4,8 @@
  *
  * One bounded pool serves every parallel site in the simulator: trace
  * generation, per-batch statistics, the per-table [Plan] streams,
- * sharded mark-pass probes, serving's per-table tier replay, and
- * whole-system sweeps in ExperimentRunner. One primitive,
+ * serving's per-table tier replay, and whole-system sweeps in
+ * ExperimentRunner. One primitive,
  * parallelFor(n, fn), runs fn(0..n-1) cooperatively: the calling
  * thread participates, so nesting a parallelFor inside a pool task
  * can never deadlock -- if all workers are busy the caller simply

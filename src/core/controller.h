@@ -3,9 +3,9 @@
  * The ScratchPipe cache controller (one instance per embedding table).
  *
  * Implements Algorithm 1 of the paper: on every [Plan] invocation the
- * controller advances the Hold masks, queries the Hit-Map for the
- * current mini-batch's sparse IDs, assigns hold-mask-eligible victim
- * slots to the misses, and pre-marks the future window. The returned
+ * controller advances the Hold masks, pre-marks the future window,
+ * queries the Hit-Map for the current mini-batch's sparse IDs and
+ * assigns hold-mask-eligible victim slots to the misses. The returned
  * PlanResult is the complete data-movement schedule for the batch's
  * remaining pipeline stages:
  *
@@ -20,6 +20,8 @@
  * The controller manipulates IDs and slots only; actual float movement
  * is the system layer's job (functional runs) or skipped entirely
  * (timing runs). This split keeps Algorithm 1 testable in isolation.
+ * The host answers Hit-Map queries from a cache::RowIndex; the GPU
+ * Hit-Map itself is charged by formula (metadataBytes()).
  */
 
 #ifndef SP_CORE_CONTROLLER_H
@@ -32,8 +34,9 @@
 #include <span>
 #include <vector>
 
-#include "cache/hit_map.h"
+#include "cache/probe_kernel.h"
 #include "cache/replacement.h"
+#include "cache/row_index.h"
 #include "cache/slot_array.h"
 #include "core/hold_mask.h"
 #include "emb/embedding_table.h"
@@ -56,21 +59,10 @@ struct ControllerConfig
     cache::PolicyKind policy = cache::PolicyKind::Lru;
     /** Seed for randomized policies. */
     uint64_t policy_seed = 1;
-    /**
-     * Shards for the [Plan] mark passes: the batched Hit-Map probes
-     * (and their hold marking) split into this many contiguous ID
-     * ranges over the shared worker pool. Algorithm 1's classify loop
-     * stays sequential -- victim choice depends on earlier misses --
-     * but the mark passes are pure probes plus commutative mark-bit
-     * ORs, so any width produces bit-identical plans. 1 (default)
-     * keeps planning fully on the calling thread.
-     */
+    /** Unused: [Plan] has no mark-pass shards or probe kernel left to
+     *  pick. They stay only because the perfbench driver sets them,
+     *  and go with ROADMAP item 1. */
     uint32_t plan_shards = 1;
-    /**
-     * Batched-probe kernel for this controller's Hit-Map (spec key
-     * probe=auto|scalar|native). Auto follows SP_SIMD; every kernel
-     * is bit-identical, so this is a pure perf knob like plan_shards.
-     */
     cache::ProbeMode probe = cache::ProbeMode::Auto;
     /** Materialise Storage floats (functional) or not (timing). */
     cache::SlotArray::Backing backing = cache::SlotArray::Backing::Dense;
@@ -170,8 +162,8 @@ class ScratchPipeController
     /** The key currently assigned to `slot` (kNoKey when vacant). */
     uint64_t keyOfSlot(uint32_t slot) const { return slot_key_[slot]; }
 
-    /** Vacant-slot sentinel: the Hit-Map's reserved empty key, which
-     *  no table geometry can produce as a row ID. */
+    /** Vacant-slot sentinel: all ones, which no table geometry can
+     *  produce as a row ID. */
     static constexpr uint64_t kNoKey = 0xffffffffffffffffull;
 
     /** Mutable Storage (functional fill/evict/train data movement). */
@@ -226,40 +218,26 @@ class ScratchPipeController
                                    uint32_t future_window,
                                    size_t ids_per_batch);
 
-    /** Heap bytes of controller metadata (Hit-Map, masks, keys). */
+    /** GPU bytes of controller metadata: the modeled Hit-Map
+     *  (bit_ceil(max(16, 2 * num_slots)) buckets of an 8-byte key and
+     *  a 4-byte slot), the hold masks and the slot keys. */
     size_t metadataBytes() const;
 
   private:
-    /** Shards actually used for an `n`-ID pass (config_.plan_shards
-     *  capped so no shard probes fewer than kMinShardIds). */
-    uint32_t shardsFor(size_t n) const;
-
-    /**
-     * One sharded mark pass: probe `ids` into probe_ (slot i from
-     * call i, exactly as a single findMany) and mark every hit --
-     * markCurrent when `future_distance` is 0, markFuture(distance)
-     * otherwise. Marks are commutative OR-bits applied through the
-     * HoldMask's shared (atomic) markers when sharded, so the
-     * resulting masks equal the serial pass bit for bit.
-     */
+    /** Mark every resident ID of `ids`: markCurrent when
+     *  `future_distance` is 0, markFuture(distance) otherwise. */
     void markPass(std::span<const uint64_t> ids, uint32_t future_distance);
 
-    /** Sharded map_.findMany(ids, probe_) without marking (the
-     *  classify pre-probe when no current mark pass left it). */
-    void probePass(std::span<const uint64_t> ids);
-
     ControllerConfig config_;
-    cache::HitMap map_;
+    cache::RowIndex index_;
     HoldMask holds_;
     std::unique_ptr<cache::ReplacementPolicy> policy_;
     cache::SlotArray storage_;
     std::vector<uint64_t> slot_key_;
     ControllerStats stats_;
-    // Reusable plan() scratch: the returned schedule and the batched
-    // Hit-Map probe results. Cleared (capacity kept) every plan, so
+    // Reusable plan() scratch: cleared (capacity kept) every plan, so
     // the steady-state hot path performs no heap allocation.
     PlanResult plan_;
-    std::vector<uint32_t> probe_;
 };
 
 } // namespace sp::core

@@ -45,27 +45,6 @@ HoldMask::markFuture(uint32_t slot, uint32_t distance)
         masks_[slot] | (1u << (past_window_ + distance)));
 }
 
-void
-HoldMask::markCurrentShared(uint32_t slot)
-{
-    panicIf(slot >= num_slots_, "markCurrent of bad slot ", slot);
-    std::atomic_ref<uint16_t>(masks_[slot])
-        .fetch_or(static_cast<uint16_t>(1u << past_window_),
-                  std::memory_order_relaxed);
-}
-
-void
-HoldMask::markFutureShared(uint32_t slot, uint32_t distance)
-{
-    panicIf(slot >= num_slots_, "markFuture of bad slot ", slot);
-    panicIf(distance == 0 || distance > future_window_,
-            "markFuture distance ", distance, " outside window of ",
-            future_window_);
-    std::atomic_ref<uint16_t>(masks_[slot])
-        .fetch_or(static_cast<uint16_t>(1u << (past_window_ + distance)),
-                  std::memory_order_relaxed);
-}
-
 uint32_t
 HoldMask::heldCount() const
 {

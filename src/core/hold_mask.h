@@ -25,7 +25,6 @@
 #ifndef SP_CORE_HOLD_MASK_H
 #define SP_CORE_HOLD_MASK_H
 
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -68,19 +67,6 @@ class HoldMask
      * (1 <= distance <= future_window).
      */
     void markFuture(uint32_t slot, uint32_t distance);
-
-    /**
-     * markCurrent/markFuture, safe under the sharded mark passes:
-     * several shards of one pass may mark concurrently (two ranges
-     * can contain duplicates of one ID, and neighbouring slots share
-     * cache lines), so the bit lands via an atomic OR. The OR is
-     * commutative and idempotent, which is what keeps sharded marking
-     * bit-identical to the serial pass. No advance()/isHeld() may run
-     * concurrently -- the pass is bracketed by plan()'s sequential
-     * phases.
-     */
-    void markCurrentShared(uint32_t slot);
-    void markFutureShared(uint32_t slot, uint32_t distance);
 
     /** True iff any batch in the window holds `slot`. */
     bool isHeld(uint32_t slot) const { return masks_[slot] != 0; }

@@ -190,7 +190,7 @@ class SplitAccessor : public emb::RowAccessor
     float *
     row(uint64_t id) override
     {
-        if (cache_.slotFor(id) != cache::HitMap::kNotFound)
+        if (cache_.slotFor(id) != cache::RowIndex::kNotFound)
             return cache_accessor_.row(id);
         return table_.row(id);
     }
@@ -198,7 +198,7 @@ class SplitAccessor : public emb::RowAccessor
     const float *
     row(uint64_t id) const override
     {
-        if (cache_.slotFor(id) != cache::HitMap::kNotFound)
+        if (cache_.slotFor(id) != cache::RowIndex::kNotFound)
             return cache_accessor_.row(id);
         return table_.row(id);
     }

@@ -34,8 +34,8 @@ scratchpadSlots(const ModelConfig &model, const ScratchPipeOptions &options)
                        pw, fw, model.trace.idsPerTable()));
     }
     slots = std::min<uint64_t>(slots, rows);
-    // Slot indices are 32-bit, and 2^32 - 1 is the Hit-Map's miss
-    // sentinel.
+    // Slot indices are 32-bit, and 2^32 - 1 is the row index's
+    // not-found sentinel.
     fatalIf(slots >= 0xffffffffull, "scratchpad of ", slots,
             " slots per table exceeds the 32-bit slot space");
     return static_cast<uint32_t>(slots);
@@ -54,13 +54,6 @@ makeScratchpadController(const ModelConfig &model,
     cc.policy = options.policy;
     cc.backing = backing;
     cc.warm_start = options.warm_start;
-    // shard=0 means one shard per pool thread (perf knob only: any
-    // width plans bit-identically).
-    cc.plan_shards =
-        options.plan_shards == 0
-            ? static_cast<uint32_t>(common::ThreadPool::global().size())
-            : options.plan_shards;
-    cc.probe = options.probe;
     cc.policy_seed = 0x5eed + table;
     return core::ScratchPipeController(cc);
 }

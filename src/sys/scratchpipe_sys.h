@@ -4,9 +4,10 @@
  *
  * Six stages -- [Load, Plan, Collect, Exchange, Insert, Train] -- run
  * the dynamic always-hit GPU scratchpad. The timing model executes the
- * real controller (Hit-Map, Hold masks, Algorithm 1) over the trace to
- * obtain the exact per-batch fill/evict counts, then charges each
- * stage's traffic to the hardware resources:
+ * real controller (row index, Hold masks, Algorithm 1) over the trace
+ * to obtain the exact per-batch fill/evict counts, then charges each
+ * stage's traffic, the modeled GPU Hit-Map's included, to the
+ * hardware resources:
  *
  *   Load      host reads the next mini-batch's sparse IDs;
  *   Plan      IDs H2D + Hit-Map query + victim planning (GPU);
@@ -67,20 +68,10 @@ struct ScratchPipeOptions
      * it, and goes with ROADMAP item 1.
      */
     bool overlap_planning = true;
-    /**
-     * Engine knob: shard each table's Hit-Map mark-pass probes into
-     * this many contiguous ID ranges over the worker pool
-     * (ControllerConfig::plan_shards). 1 = unsharded; 0 = one shard
-     * per pool thread. Bit-identical at any width. Spec key: shard=N.
-     */
+    /** Unused, like overlap_planning: [Plan] has no mark-pass shards
+     *  or probe kernel left to pick. No spec key sets them; they stay
+     *  only because the perfbench driver reads them. */
     uint32_t plan_shards = 1;
-    /**
-     * Engine knob: batched Hit-Map probe kernel for every controller
-     * (ControllerConfig::probe). auto = follow SP_SIMD (scalar |
-     * native); scalar/native pin it. All kernels are bit-identical
-     * (the PR-5 equivalence harness), so this only moves wall-clock.
-     * Spec key: probe=auto|scalar|native.
-     */
     cache::ProbeMode probe = cache::ProbeMode::Auto;
     /**
      * GPUs the tables are split across (paper Section VI-G; pipelined
@@ -110,16 +101,15 @@ struct ScratchPipeOptions
  * §VI-D worst-case window working set under `enforce_capacity_bound`,
  * and never more than the table has rows. The straw-man
  * (`pipelined == false`) plans with both windows at zero. A count
- * that does not fit the 32-bit slot space (2^32 - 1 and up is the
- * Hit-Map's miss sentinel) is a FatalError.
+ * that does not fit the 32-bit slot space (2^32 - 1 and up is the row
+ * index's not-found sentinel) is a FatalError.
  */
 uint32_t scratchpadSlots(const ModelConfig &model,
                          const ScratchPipeOptions &options);
 
 /**
  * Table `table`'s controller: scratchpadSlots() slots, seeded
- * 0x5eed + table. `plan_shards == 0` resolves to one shard per pool
- * thread. `gpus` is the caller's.
+ * 0x5eed + table. `gpus` is the caller's.
  */
 core::ScratchPipeController
 makeScratchpadController(const ModelConfig &model,

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "cache/hit_map.h"
+#include "cache/row_index.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -23,7 +23,7 @@ namespace
  * One table's GPU embedding-cache tier. Static mode pins the hottest
  * `capacity` ranks (synthetic IDs are rank-ordered, so `id < capacity`
  * is the hot-set test, as in StaticCacheSystem). Dynamic mode runs a
- * HitMap + ReplacementPolicy cache that admits every missed row.
+ * RowIndex + ReplacementPolicy cache that admits every missed row.
  */
 class TierCache
 {
@@ -34,13 +34,11 @@ class TierCache
     {
         if (!dynamic_)
             return;
-        // Slot indices are 32-bit (HitMap contract); a serving tier
-        // beyond 2^32 - 2 rows per table would need sharded maps.
+        // Slot indices are 32-bit, and 2^32 - 1 is the row index's
+        // not-found sentinel.
         fatalIf(capacity_ >= 0xffffffffull,
                 "serve: GPU tier of ", capacity_,
                 " rows per table exceeds the 32-bit slot space");
-        map_ = std::make_unique<cache::HitMap>(
-            static_cast<size_t>(capacity_));
         policy_ = cache::makePolicy(kind, seed);
         policy_->reset(static_cast<uint32_t>(capacity_));
         slot_key_.resize(static_cast<size_t>(capacity_), 0);
@@ -51,8 +49,8 @@ class TierCache
     {
         if (!dynamic_)
             return id < capacity_;
-        uint32_t slot = map_->find(id);
-        if (slot != cache::HitMap::kNotFound) {
+        uint32_t slot = index_.find(id);
+        if (slot != cache::RowIndex::kNotFound) {
             policy_->touch(slot);
             return true;
         }
@@ -60,9 +58,9 @@ class TierCache
             slot = static_cast<uint32_t>(used_++);
         } else {
             slot = policy_->chooseVictim([](uint32_t) { return true; });
-            map_->erase(slot_key_[slot]);
+            index_.erase(slot_key_[slot]);
         }
-        map_->insert(id, slot);
+        index_.insert(id, slot);
         slot_key_[slot] = id;
         policy_->touch(slot);
         return false;
@@ -72,7 +70,7 @@ class TierCache
     bool dynamic_;
     uint64_t capacity_;
     uint64_t used_ = 0;
-    std::unique_ptr<cache::HitMap> map_;
+    cache::RowIndex index_;
     std::unique_ptr<cache::ReplacementPolicy> policy_;
     std::vector<uint64_t> slot_key_;
 };
@@ -376,7 +374,7 @@ ServingSystem::simulate(const data::TraceDataset &dataset,
     result.busy.cpu_busy_seconds = cpu_busy * inv_iters;
     result.busy.gpu_busy_seconds = gpu_busy * inv_iters;
     result.hit_rate = hitRate(hits, ids);
-    // Cached rows plus ~16 B of HitMap metadata per dynamic slot.
+    // Cached rows plus ~16 B of Hit-Map metadata per dynamic slot.
     result.gpu_bytes =
         static_cast<double>(cached_rows_) * model_.trace.num_tables *
         (model_.rowBytes() + (options_.dynamic_refresh ? 16.0 : 0.0));

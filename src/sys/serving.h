@@ -45,7 +45,7 @@
  *
  * GPU-tier refresh: `refresh=static` pins the hottest ranks
  * (synthetic IDs are rank-ordered, as in StaticCacheSystem);
- * lru/lfu/fifo/random run a dynamic cache (cache::HitMap +
+ * lru/lfu/fifo/random run a dynamic cache (cache::RowIndex +
  * cache::ReplacementPolicy) that admits every missed row, evicting
  * the policy's victim.
  *

@@ -42,11 +42,6 @@ optionTable(SystemSpec &spec)
         {"future", pad.future_window, kPad},
         {"warm", pad.warm_start, kPad},
         {"bound", pad.enforce_capacity_bound, kPad},
-        {"shard", pad.plan_shards, kPad},
-        {"probe",
-         common::named(pad.probe, cache::probeModeFromName,
-                       cache::probeModeName),
-         kPad},
         {"arrival",
          common::named(arrival.kind, data::arrivalKindFromName,
                        data::arrivalKindName),

@@ -12,12 +12,6 @@
  *   "hybrid"
  *   "static:cache=0.02"
  *   "scratchpipe:cache=0.05,policy=lfu,past=4,future=2,warm=0"
- *   "scratchpipe:shard=8"             (engine knob: mark-pass
- *                                      shards -- bit-identical
- *                                      results, perf only)
- *   "scratchpipe:probe=scalar"        (pin the batched Hit-Map probe
- *                                      kernel: auto|scalar|native;
- *                                      bit-identical, perf only)
  *   "serve:rate=500000,arrival=bursty,batch_max=16,budget_us=300,
  *    refresh=lru"                     (online serving: open-loop
  *                                      arrivals, admission batching,

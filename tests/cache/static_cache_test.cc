@@ -48,7 +48,7 @@ TEST(StaticCache, SlotLookup)
     EXPECT_EQ(cache.slotFor(10), 0u);
     EXPECT_EQ(cache.slotFor(20), 1u);
     EXPECT_EQ(cache.slotFor(30), 2u);
-    EXPECT_EQ(cache.slotFor(40), HitMap::kNotFound);
+    EXPECT_EQ(cache.slotFor(40), RowIndex::kNotFound);
 }
 
 TEST(StaticCache, FillCopiesTableValues)

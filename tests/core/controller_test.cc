@@ -9,8 +9,10 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/hit_map.h"
 #include "common/logging.h"
 #include "core/controller.h"
+#include "core/hold_mask.h"
 #include "tensor/rng.h"
 
 namespace sp::core
@@ -305,6 +307,52 @@ TEST(Controller, MetadataBytesAccounted)
     ScratchPipeController controller(baseConfig(1024));
     // Hit-Map + hold masks + slot keys: several KB at least.
     EXPECT_GT(controller.metadataBytes(), 1024u * 6);
+}
+
+TEST(Controller, MetadataBytesChargeTheModeledHitMap)
+{
+    // The host looks rows up in a RowIndex, but the reported bytes
+    // stay the GPU Hit-Map's: a HitMap holding num_slots entries, plus
+    // the hold masks and the slot keys. 1, 8 and 9 straddle the
+    // 16-bucket floor; 245760 is the perfbench geometry's slot count.
+    for (const uint32_t slots : {1u, 8u, 9u, 100000u, 245760u}) {
+        auto config = baseConfig(slots);
+        config.backing = cache::SlotArray::Backing::Phantom;
+        const ScratchPipeController controller(config);
+        cache::HitMap map(slots);
+        for (uint32_t slot = 0; slot < slots; ++slot)
+            map.insert(slot, slot);
+        const HoldMask holds(slots, 3, 2);
+        EXPECT_EQ(controller.metadataBytes(),
+                  map.memoryBytes() + holds.memoryBytes() +
+                      size_t{slots} * sizeof(uint64_t))
+            << slots << " slots";
+    }
+}
+
+TEST(Controller, IdsAcrossThe32BitBoundaryDoNotAlias)
+{
+    // Rows of a table above 2^32 rows: an ID and its low 32 bits are
+    // different rows, so each gets its own fill and none hits
+    // another's slot.
+    ScratchPipeController controller(baseConfig(64));
+    const uint64_t wide = uint64_t{1} << 32;
+    const std::vector<uint64_t> ids = {1, wide + 1, 0xffffffffull, wide, 2};
+    const PlanResult &plan = controller.plan(ids, kNoFutures);
+    EXPECT_EQ(plan.hits, 0u);
+    EXPECT_EQ(plan.misses, ids.size());
+    std::set<uint32_t> slots;
+    for (const FillOp &fill : plan.fills)
+        slots.insert(fill.slot);
+    EXPECT_EQ(slots.size(), ids.size());
+    for (const uint64_t id : ids)
+        EXPECT_EQ(controller.keyOfSlot(controller.slotOf(id)), id);
+
+    // Of 2^32 + 2, 1 and 2^32 - 2, only 1 is resident.
+    const PlanResult &again = controller.plan(
+        std::vector<uint64_t>{wide + 2, 1, wide - 2}, kNoFutures);
+    EXPECT_EQ(again.hits, 1u);
+    EXPECT_EQ(again.misses, 2u);
 }
 
 TEST(Controller, StatsAccumulate)

@@ -7,9 +7,9 @@
  * validated against the table geometry, spec strings that round-trip
  * through parse()/summary(), and -- the fix this layer forced -- a
  * 64-bit-clean ID path proven at a >2^32-row geometry from the
- * sampler through the trace to the HitMap key. The replay adapter is
- * proven by a generate -> save -> replay round trip and by classified
- * degradation on truncated/corrupt/missing files.
+ * sampler through the trace to the row-index key. The replay adapter
+ * is proven by a generate -> save -> replay round trip and by
+ * classified degradation on truncated/corrupt/missing files.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@
 
 #include <unistd.h>
 
-#include "cache/hit_map.h"
+#include "cache/row_index.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -320,13 +320,13 @@ TEST(WorkloadGenerator, HugeTableGeometryKeepsIdsUnwrapped)
     const std::vector<uint64_t> record = generator.makeRecord(0);
     const auto ids = MiniBatch::fromRecord(record, config).ids(0);
     uint64_t above_boundary = 0;
-    cache::HitMap map;
+    cache::RowIndex index;
     for (size_t i = 0; i < ids.size(); ++i) {
         ASSERT_LT(ids[i], config.rows_per_table);
         if (ids[i] > (uint64_t{1} << 32))
             ++above_boundary;
-        if (!map.contains(ids[i]))
-            map.insert(ids[i], static_cast<uint32_t>(i));
+        if (!index.contains(ids[i]))
+            index.insert(ids[i], static_cast<uint32_t>(i));
     }
     // 256 uniform draws, each above 2^32 with probability 3/4: zero
     // would mean the sampler truncated.
@@ -334,8 +334,8 @@ TEST(WorkloadGenerator, HugeTableGeometryKeepsIdsUnwrapped)
     // And the cache keys survive the trip: every inserted wide ID is
     // found under its exact 64-bit key, not a truncated alias.
     for (size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_TRUE(map.contains(ids[i]));
-        EXPECT_FALSE(map.contains(ids[i] + (uint64_t{1} << 32)))
+        EXPECT_TRUE(index.contains(ids[i]));
+        EXPECT_FALSE(index.contains(ids[i] + (uint64_t{1} << 32)))
             << "truncated alias matched for id " << ids[i];
     }
 }

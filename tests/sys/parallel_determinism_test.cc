@@ -97,37 +97,25 @@ TEST(ParallelDeterminism, PooledBatchStatsMatchSerialCounts)
 }
 
 std::vector<SystemSpec>
-sweepSpecs(const std::string &engine_suffix = "")
+sweepSpecs()
 {
-    // The engine knobs (shard=, probe=) only exist on the
-    // scratchpad systems; the other design points ride along in every
-    // sweep so the whole spec list is compared at once.
     return {SystemSpec::parse("hybrid"),
             SystemSpec::parse("static:cache=0.1"),
-            SystemSpec::parse("strawman" +
-                              (engine_suffix.empty()
-                                   ? ""
-                                   : ":" + engine_suffix)),
-            SystemSpec::parse("scratchpipe" +
-                              (engine_suffix.empty()
-                                   ? ""
-                                   : ":" + engine_suffix)),
-            SystemSpec::parse("scratchpipe:policy=lfu,cache=0.2" +
-                              (engine_suffix.empty()
-                                   ? ""
-                                   : "," + engine_suffix)),
+            SystemSpec::parse("strawman"),
+            SystemSpec::parse("scratchpipe"),
+            SystemSpec::parse("scratchpipe:policy=lfu,cache=0.2"),
             SystemSpec::parse("multigpu")};
 }
 
 std::string
-sweepJson(uint32_t jobs, const std::string &engine_suffix = "")
+sweepJson(uint32_t jobs)
 {
     ExperimentOptions options;
     options.iterations = 4;
     options.warmup = 2;
     options.jobs = jobs;
     const ExperimentRunner runner(testModel(), kHw, options);
-    return toJson(runner.runAll(sweepSpecs(engine_suffix)));
+    return toJson(runner.runAll(sweepSpecs()));
 }
 
 TEST(ParallelDeterminism, JobsSweepJsonBitIdenticalToSequential)
@@ -139,52 +127,8 @@ TEST(ParallelDeterminism, JobsSweepJsonBitIdenticalToSequential)
     EXPECT_EQ(serial, sweepJson(8));
 }
 
-TEST(ParallelDeterminism, EngineModeMatrixBitIdentical)
-{
-    // The sharded planning engine must not change a single byte of
-    // output: every combination of {unsharded, sharded} x jobs in
-    // {1, 4} serialises to the fully-serial sweep's JSON. Widen the
-    // pool so the matrix crosses real threads even on a single-core
-    // host.
-    if (common::ThreadPool::global().size() < 4)
-        common::ThreadPool::setGlobalThreads(4);
-    const std::string baseline = sweepJson(1, "shard=1");
-    const char *modes[] = {"shard=1", "shard=4"};
-    for (const char *mode : modes) {
-        for (const uint32_t jobs : {1u, 4u}) {
-            EXPECT_EQ(baseline, sweepJson(jobs, mode))
-                << "mode=" << mode << " jobs=" << jobs;
-        }
-    }
-}
-
-TEST(ParallelDeterminism, ProbeKernelMatrixBitIdentical)
-{
-    // The probe= axis joins the engine-mode matrix: the scalar
-    // reference and the runtime-dispatched native kernel (AVX2
-    // where available, scalar parity otherwise) must serialise to the
-    // same bytes at every jobs x shard combination -- including
-    // shard=0 (one shard per pool thread), where SIMD probes run
-    // concurrently on subranges of one table.
-    if (common::ThreadPool::global().size() < 4)
-        common::ThreadPool::setGlobalThreads(4);
-    const std::string baseline = sweepJson(1, "shard=1,probe=scalar");
-    for (const char *probe : {"probe=scalar", "probe=native"}) {
-        for (const char *engine : {"shard=1", "shard=0"}) {
-            for (const uint32_t jobs : {1u, 4u}) {
-                EXPECT_EQ(baseline,
-                          sweepJson(jobs, std::string(engine) + "," +
-                                              probe))
-                    << "engine=" << engine << " " << probe
-                    << " jobs=" << jobs;
-            }
-        }
-    }
-}
-
 std::string
-shapedSweepJson(uint32_t jobs, const std::string &workload_text,
-                const std::string &engine_suffix = "")
+shapedSweepJson(uint32_t jobs, const std::string &workload_text)
 {
     ExperimentOptions options;
     options.iterations = 4;
@@ -194,22 +138,20 @@ shapedSweepJson(uint32_t jobs, const std::string &workload_text,
     model.trace.workload =
         data::WorkloadSpec::parse(workload_text).config;
     const ExperimentRunner runner(model, kHw, options);
-    return toJson(runner.runAll(sweepSpecs(engine_suffix)));
+    return toJson(runner.runAll(sweepSpecs()));
 }
 
 TEST(ParallelDeterminism, DriftingAlphaSweepBitIdenticalAcrossJobs)
 {
     // The workload shaper joins the determinism matrix: a drifting
     // Zipf exponent re-seeds nothing -- batch k's stream is still a
-    // pure function of (seed, table, k) -- so jobs and shard width
-    // must not move a byte.
+    // pure function of (seed, table, k) -- so jobs must not move a
+    // byte.
     if (common::ThreadPool::global().size() < 4)
         common::ThreadPool::setGlobalThreads(4);
     const std::string spec = "drift_amp=0.4,drift_period=3,phase=2";
     const std::string serial = shapedSweepJson(1, spec);
     EXPECT_EQ(serial, shapedSweepJson(4, spec));
-    EXPECT_EQ(serial, shapedSweepJson(4, spec, "shard=4"));
-    EXPECT_EQ(serial, shapedSweepJson(4, spec, "probe=native"));
     // And the shaping is live, not a no-op that trivially matches.
     EXPECT_NE(serial, sweepJson(1));
 }
@@ -304,13 +246,6 @@ TEST(ParallelDeterminism, ServingTierReplayBitIdenticalAcrossPoolWidths)
     const std::string pooled = servingJson(4);
     common::ThreadPool::setGlobalThreads(width);
     EXPECT_EQ(serial, pooled);
-}
-
-TEST(ParallelDeterminism, AutoShardWidthBitIdentical)
-{
-    // shard=0 resolves to the pool width on whatever host runs the
-    // test; output must still match the serial sweep exactly.
-    EXPECT_EQ(sweepJson(1, "shard=1"), sweepJson(4, "shard=0"));
 }
 
 TEST(ParallelDeterminism, RunAllBadSpecFailsFastBeforeTheFanOut)

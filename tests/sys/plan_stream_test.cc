@@ -48,12 +48,11 @@ describe(const ScratchPipeOptions &options)
 {
     return std::string(cache::policyName(options.policy)) +
            " warm=" + std::to_string(options.warm_start) +
-           " future=" + std::to_string(options.future_window) +
-           " shard=" + std::to_string(options.plan_shards);
+           " future=" + std::to_string(options.future_window);
 }
 
-/** The serial reference: controllers configured here (seed 0x5eed + t,
- *  unsharded), planned batch-major. Returns outcome (i, t) at
+/** The serial reference: controllers configured here (seed 0x5eed + t),
+ *  planned batch-major. Returns outcome (i, t) at
  *  i * tables + t. */
 std::vector<TablePlanOutcome>
 serialOutcomes(const ModelConfig &model, const ScratchPipeOptions &options,
@@ -120,30 +119,25 @@ TEST(PlanStream, EveryCellMatchesABatchMajorSerialLoop)
           cache::PolicyKind::Fifo, cache::PolicyKind::Random}) {
         for (const bool warm : {false, true}) {
             for (const uint32_t future : {0u, 1u, 2u}) {
-                for (const uint32_t shards : {1u, 3u}) {
-                    ScratchPipeOptions options;
-                    options.cache_fraction = 0.05;
-                    options.policy = policy;
-                    options.warm_start = warm;
-                    options.future_window = future;
-                    options.plan_shards = shards;
-                    std::vector<core::ScratchPipeController> controllers =
-                        makeScratchpadControllers(
-                            model, options,
-                            cache::SlotArray::Backing::Phantom);
-                    std::vector<TablePlanOutcome> outcomes(kBatches *
-                                                           tables);
-                    common::parallelFor(tables, [&](size_t t) {
-                        planTableStream(controllers[t], dataset, t, tables,
-                                        outcomes);
-                    });
-                    const std::vector<TablePlanOutcome> expected =
-                        serialOutcomes(model, options, dataset);
-                    expectSameOutcomes(expected, outcomes, tables,
-                                       describe(options));
-                    for (const TablePlanOutcome &cell : expected)
-                        evicts += cell.evicts;
-                }
+                ScratchPipeOptions options;
+                options.cache_fraction = 0.05;
+                options.policy = policy;
+                options.warm_start = warm;
+                options.future_window = future;
+                std::vector<core::ScratchPipeController> controllers =
+                    makeScratchpadControllers(
+                        model, options, cache::SlotArray::Backing::Phantom);
+                std::vector<TablePlanOutcome> outcomes(kBatches * tables);
+                common::parallelFor(tables, [&](size_t t) {
+                    planTableStream(controllers[t], dataset, t, tables,
+                                    outcomes);
+                });
+                const std::vector<TablePlanOutcome> expected =
+                    serialOutcomes(model, options, dataset);
+                expectSameOutcomes(expected, outcomes, tables,
+                                   describe(options));
+                for (const TablePlanOutcome &cell : expected)
+                    evicts += cell.evicts;
             }
         }
     }

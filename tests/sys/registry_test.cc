@@ -15,6 +15,7 @@
 #include <cctype>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -181,20 +182,27 @@ TEST(SystemSpec, RejectsMalformedInput)
         EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
     // Integer keys take decimal integers only.
     for (const char *text : {"scratchpipe:past=4.0", "scratchpipe:past=1e1",
-                             "scratchpipe:shard=2.0"})
+                             "serve:batch_max=2.0"})
         EXPECT_THROW(SystemSpec::parse(text), FatalError) << text;
 }
 
 TEST(SystemSpec, RejectsTheDeletedOverlapKey)
 {
     // Each table streams through every batch on its own pool task, so
-    // no batch pipeline is left for overlap= to switch.
-    for (const char *text : {"scratchpipe:overlap=1", "strawman:overlap=0"}) {
+    // no batch pipeline is left for overlap= to switch, and [Plan]
+    // looks IDs up in a row index, so no mark-pass shards or probe
+    // kernel are left for shard= and probe= to pick.
+    for (const auto &[text, key] :
+         {std::pair{"scratchpipe:overlap=1", "overlap"},
+          std::pair{"strawman:overlap=0", "overlap"},
+          std::pair{"scratchpipe:shard=1", "shard"},
+          std::pair{"scratchpipe:probe=scalar", "probe"}}) {
         try {
             SystemSpec::parse(text);
             ADD_FAILURE() << text << " accepted";
         } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find("unknown key 'overlap'"),
+            EXPECT_NE(std::string(e.what()).find("unknown key '" +
+                                                 std::string(key) + "'"),
                       std::string::npos)
                 << e.what();
         }

@@ -35,8 +35,6 @@ const std::map<std::string, std::vector<std::string>> kSamples = {
     {"future", {"0", "2", "5"}},
     {"warm", {"0", "1"}},
     {"bound", {"0", "1"}},
-    {"shard", {"0", "1", "8"}},
-    {"probe", {"auto", "scalar", "native"}},
     {"arrival", {"poisson", "uniform", "bursty"}},
     {"rate", {"1e+06", "250000.5", "0.001"}},
     {"batch_max", {"1", "32", "4096"}},

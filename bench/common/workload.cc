@@ -1,13 +1,11 @@
 #include "common/workload.h"
 
 #include <cstdlib>
-#include <iostream>
 
-#include "common/logging.h"
+#include "common/spec_number.h"
 #include "common/thread_pool.h"
 #include "data/trace_store.h"
 #include "data/workload.h"
-#include "metrics/table_printer.h"
 
 namespace sp::bench
 {
@@ -15,23 +13,34 @@ namespace sp::bench
 namespace
 {
 
-uint64_t
-envOr(const char *name, uint64_t fallback)
+/** What applyCommonFlags read, consumed by every later makeWorkload
+ *  in the process. */
+struct Settings
 {
-    const char *value = std::getenv(name);
-    if (value == nullptr)
-        return fallback;
-    const long long parsed = std::atoll(value);
-    return parsed > 0 ? static_cast<uint64_t>(parsed) : fallback;
+    /** --workload (empty = stationary). */
+    data::WorkloadSpec workload;
+    uint64_t warmup = 5;
+    uint64_t measure = 10;
+};
+
+Settings &
+settings()
+{
+    static Settings value;
+    return value;
 }
 
-/** The --workload spec applyCommonFlags parsed, consumed by every
- *  subsequent makeWorkload in the process (empty = stationary). */
-data::WorkloadSpec &
-activeWorkload()
+/** An SP_BENCH_* count: decimal digits only, like SP_JOBS; unset or 0
+ *  keeps `fallback`. */
+uint64_t
+envCount(const char *name, uint64_t fallback)
 {
-    static data::WorkloadSpec spec;
-    return spec;
+    const char *text = std::getenv(name);
+    if (text == nullptr)
+        return fallback;
+    uint64_t count = 0;
+    common::OptionValue(count).read("environment", name, text);
+    return count > 0 ? count : fallback;
 }
 
 } // namespace
@@ -39,13 +48,13 @@ activeWorkload()
 uint64_t
 warmupIterations()
 {
-    return envOr("SP_BENCH_WARMUP", 5);
+    return settings().warmup;
 }
 
 uint64_t
 measureIterations()
 {
-    return envOr("SP_BENCH_MEASURE", 10);
+    return settings().measure;
 }
 
 void
@@ -68,15 +77,18 @@ addCommonFlags(ArgParser &args)
 uint32_t
 applyCommonFlags(const ArgParser &args)
 {
-    // Bench drivers hit the trace cache transparently; the flag (and
+    Settings &active = settings();
+    active.warmup = envCount("SP_BENCH_WARMUP", active.warmup);
+    active.measure = envCount("SP_BENCH_MEASURE", active.measure);
+
+    // The driver hits the trace cache transparently; the flag (and
     // SP_TRACE_CACHE=off) opts out. Enable before any workload is
     // built so the very first trace acquisition can be a warm start.
     data::TraceStore::setCacheEnabled(!args.getBool("no-trace-cache"));
 
     // Parse --workload once; makeWorkload overlays it on every model
     // so the whole figure family runs the shaped (or replayed) stream.
-    activeWorkload() = data::WorkloadSpec::parse(
-        args.getString("workload"));
+    active.workload = data::WorkloadSpec::parse(args.getString("workload"));
 
     const uint32_t jobs = parseJobsArg(args);
     if (args.wasSet("jobs")) {
@@ -87,26 +99,6 @@ applyCommonFlags(const ArgParser &args)
                      : common::ThreadPool::defaultThreads());
     }
     return static_cast<uint32_t>(common::ThreadPool::global().size());
-}
-
-bool
-parseStandardArgs(int argc, char **argv, const char *description)
-{
-    ArgParser args(description);
-    addCommonFlags(args);
-    try {
-        if (!args.parse(argc, argv)) {
-            std::cout << args.usage();
-            return false;
-        }
-        applyCommonFlags(args);
-    } catch (const FatalError &error) {
-        // A bad flag is a usage error, not a crash: print the message
-        // (not an uncaught-exception abort) and exit non-zero.
-        std::cerr << error.what() << "\n";
-        std::exit(1);
-    }
-    return true;
 }
 
 Workload
@@ -133,39 +125,19 @@ makeWorkload(data::Locality locality, const WorkloadOptions &overrides)
     sys::ExperimentOptions options;
     options.iterations = workload.measure;
     options.warmup = workload.warmup;
-    // jobs == 0 follows the pool (sized by --jobs in applyCommonFlags),
-    // so pooled runAll sweeps honour the flag without every driver
-    // threading the width through by hand.
+    // Follow the pool (sized by --jobs in applyCommonFlags), so pooled
+    // runAll sweeps honour the flag.
     options.jobs =
-        overrides.jobs > 0
-            ? overrides.jobs
-            : static_cast<uint32_t>(common::ThreadPool::global().size());
+        static_cast<uint32_t>(common::ThreadPool::global().size());
     // Overlay the driver-wide --workload spec; geometry overrides from
     // `base` keep their own shaping unless the flag asked for some.
-    const data::WorkloadSpec &shaping = activeWorkload();
+    const data::WorkloadSpec &shaping = settings().workload;
     if (!shaping.config.stationary())
         workload.model.trace.workload = shaping.config;
     options.replay_path = shaping.replay_path;
     workload.runner = std::make_unique<sys::ExperimentRunner>(
         workload.model, sim::HardwareConfig::paperTestbed(), options);
     return workload;
-}
-
-void
-printBanner(const std::string &title, const std::string &reference)
-{
-    std::cout << "\n=== " << title << " ===\n"
-              << reference << "\n"
-              << "geometry: 8 tables x 10M rows x 128-dim unless noted; "
-              << "batch 2048; 20 lookups/table\n"
-              << "warmup " << warmupIterations() << " iters, measuring "
-              << measureIterations() << " iters\n\n";
-}
-
-std::string
-ms(double seconds, int precision)
-{
-    return metrics::TablePrinter::num(seconds * 1e3, precision);
 }
 
 } // namespace sp::bench

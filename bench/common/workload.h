@@ -1,24 +1,24 @@
 /**
  * @file
- * Shared setup for the figure/table reproduction binaries.
+ * Shared setup for bench_figures' figure and table reproductions.
  *
- * Every bench binary regenerates one of the paper's evaluation
- * artifacts at the Section V geometry (8 tables x 10M rows x 128-dim,
- * batch 2048, 20 lookups/table). A Workload wraps a
- * sys::ExperimentRunner on the paper testbed: the trace and the shared
- * per-batch statistics are built once, and any system -- named by a
- * SystemSpec string like "static:cache=0.02" -- can be simulated over
- * them. The dynamic cache systems run `warmup` batches to reach steady
- * state (mirroring the paper's steady-state measurements) and are
- * measured over the following `measure` batches.
+ * Every figure regenerates one of the paper's evaluation artifacts at
+ * the Section V geometry (8 tables x 10M rows x 128-dim, batch 2048,
+ * 20 lookups/table). A Workload wraps a sys::ExperimentRunner on the
+ * paper testbed: the trace and the shared per-batch statistics are
+ * built once, and any system -- named by a SystemSpec string like
+ * "static:cache=0.02" -- can be simulated over them. The dynamic cache
+ * systems run `warmup` batches to reach steady state (mirroring the
+ * paper's steady-state measurements) and are measured over the
+ * following `measure` batches.
  *
  * Iteration counts honour SP_BENCH_WARMUP / SP_BENCH_MEASURE so the
  * whole suite can be sped up or made more precise from the shell, and
- * every driver takes the shared flags (addCommonFlags /
- * applyCommonFlags): --jobs, so every driver exercises the worker
+ * the driver takes the shared flags (addCommonFlags /
+ * applyCommonFlags): --jobs, so every figure exercises the worker
  * pool at a controlled width, and --no-trace-cache, opting out of the
  * content-addressed trace cache (data/trace_store.h) that otherwise
- * lets every driver warm-start from an mmap'd trace published by any
+ * lets every figure warm-start from an mmap'd trace published by any
  * earlier run.
  */
 
@@ -37,10 +37,10 @@
 namespace sp::bench
 {
 
-/** Warm-up batches before measurement (default 5). */
+/** Warm-up batches before measurement: SP_BENCH_WARMUP, default 5. */
 uint64_t warmupIterations();
 
-/** Measured batches (default 10). */
+/** Measured batches: SP_BENCH_MEASURE, default 10. */
 uint64_t measureIterations();
 
 /**
@@ -55,24 +55,16 @@ uint64_t measureIterations();
 void addCommonFlags(ArgParser &args);
 
 /**
- * Apply the shared flags: sizes the process-wide pool (call before
- * building any workload), switches the transparent trace cache on
- * unless --no-trace-cache was given, and returns the pool width,
- * which is also the ExperimentOptions::jobs value pooled sweeps
- * should use. Results are bit-identical whatever the width and
- * whether the trace came from the cache -- both only move wall-clock.
+ * Apply the shared flags: reads SP_BENCH_WARMUP / SP_BENCH_MEASURE
+ * (decimal digits only; unset or 0 keeps the default; fatal() on any
+ * other value), sizes the process-wide pool (call before building any
+ * workload), switches the transparent trace cache on unless
+ * --no-trace-cache was given, and returns the pool width, which is
+ * also the ExperimentOptions::jobs value pooled sweeps should use.
+ * Results are bit-identical whatever the width and whether the trace
+ * came from the cache -- both only move wall-clock.
  */
 uint32_t applyCommonFlags(const ArgParser &args);
-
-/**
- * The whole standard prologue for a driver with no flags of its own:
- * parse argv with just the shared flags, size the pool, and switch
- * the trace cache. Returns false when --help was printed (the caller
- * should exit 0); prints the message and exits 1 on a usage error.
- * Drivers with extra flags compose addCommonFlags/applyCommonFlags
- * instead (see fig13_speedup.cc).
- */
-bool parseStandardArgs(int argc, char **argv, const char *description);
 
 /** One locality's trace + statistics at a given model geometry. */
 struct Workload
@@ -110,9 +102,6 @@ struct WorkloadOptions
     uint64_t warmup = 0;
     /** Measured batches; 0 = the SP_BENCH_MEASURE default. */
     uint64_t measure = 0;
-    /** ExperimentOptions::jobs for pooled runAll sweeps; 0 (default)
-     *  follows the pool width, i.e. whatever --jobs selected. */
-    uint32_t jobs = 0;
 };
 
 /**
@@ -122,15 +111,9 @@ struct WorkloadOptions
 Workload makeWorkload(data::Locality locality,
                       const sys::ModelConfig *base = nullptr);
 
-/** makeWorkload with explicit overrides (quick modes, pooled sweeps). */
+/** makeWorkload with explicit overrides (fig13's quick mode). */
 Workload makeWorkload(data::Locality locality,
                       const WorkloadOptions &options);
-
-/** Print the standard bench banner (figure id + paper reference). */
-void printBanner(const std::string &title, const std::string &reference);
-
-/** Seconds -> "12.34" milliseconds string. */
-std::string ms(double seconds, int precision = 2);
 
 } // namespace sp::bench
 

@@ -1,6 +1,7 @@
 #include "cache/row_index.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -57,6 +58,13 @@ RowIndex::memoryBytes() const
         pages_, [](const auto &page) { return page != nullptr; }));
     return pages_.capacity() * sizeof(pages_[0]) +
            allocated * kPageRows * sizeof(uint32_t);
+}
+
+size_t
+modeledHitMapBytes(size_t slots)
+{
+    const size_t buckets = std::bit_ceil(std::max<size_t>(16, 2 * slots));
+    return buckets * (sizeof(uint64_t) + sizeof(uint32_t));
 }
 
 } // namespace sp::cache

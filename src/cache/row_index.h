@@ -76,6 +76,14 @@ class RowIndex
     size_t size_ = 0;
 };
 
+/**
+ * Bytes the timing model charges for the paper's GPU Hit-Map over
+ * `slots` cached rows: an open-addressing table at most half full,
+ * bit_ceil(max(16, 2 * slots)) buckets of a 64-bit row ID and a
+ * 32-bit slot. Every cache tier that reports GPU bytes charges this.
+ */
+size_t modeledHitMapBytes(size_t slots);
+
 } // namespace sp::cache
 
 #endif // SP_CACHE_ROW_INDEX_H

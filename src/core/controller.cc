@@ -1,7 +1,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/logging.h"
@@ -128,6 +127,12 @@ ScratchPipeController::plan(
         holds_.markCurrent(victim);
     }
     // splint:hot-path-end
+
+    ++stats_.plans;
+    stats_.hits += plan_.hits;
+    stats_.misses += plan_.misses;
+    stats_.fills += plan_.fills.size();
+    stats_.evictions += plan_.evictions.size();
 #ifdef SP_CHECK_INVARIANTS
     // Always-hit: [Train] finds every ID of this batch in the slot
     // keyed by it, and the index holds exactly the occupied slots.
@@ -141,13 +146,22 @@ ScratchPipeController::plan(
         slot_key_, [](uint64_t key) { return key != kNoKey; }));
     SP_ASSERT(index_.size() == occupied, "row index holds ", index_.size(),
               " live ids but ", occupied, " slots are occupied");
-#endif
 
-    ++stats_.plans;
-    stats_.hits += plan_.hits;
-    stats_.misses += plan_.misses;
-    stats_.fills += plan_.fills.size();
-    stats_.evictions += plan_.evictions.size();
+    // Conservation, which the timing models charge from: every ID is
+    // a hit or a miss, every miss is a fill, and the index gains a row
+    // per fill and loses one per eviction (write-back) over its life.
+    SP_ASSERT(plan_.hits + plan_.misses == current_ids.size(), "plan ",
+              stats_.plans, " counts ", plan_.hits, " hits + ",
+              plan_.misses, " misses for ", current_ids.size(), " ids");
+    SP_ASSERT(plan_.misses == plan_.fills.size(), "plan ", stats_.plans,
+              " counts ", plan_.misses, " misses but schedules ",
+              plan_.fills.size(), " fills");
+    const uint64_t resident = (config_.warm_start ? config_.num_slots : 0) +
+                              stats_.fills - stats_.evictions;
+    SP_ASSERT(index_.size() == resident, "row index holds ", index_.size(),
+              " ids but ", stats_.fills, " fills and ", stats_.evictions,
+              " evictions leave ", resident);
+#endif
     return plan_;
 }
 
@@ -216,9 +230,7 @@ ScratchPipeController::worstCaseSlots(uint32_t past_window,
 size_t
 ScratchPipeController::metadataBytes() const
 {
-    const size_t hit_map_buckets =
-        std::bit_ceil(std::max<size_t>(16, 2 * size_t{config_.num_slots}));
-    return hit_map_buckets * (sizeof(uint64_t) + sizeof(uint32_t)) +
+    return cache::modeledHitMapBytes(config_.num_slots) +
            holds_.memoryBytes() + slot_key_.capacity() * sizeof(uint64_t);
 }
 

@@ -219,8 +219,8 @@ class ScratchPipeController
                                    size_t ids_per_batch);
 
     /** GPU bytes of controller metadata: the modeled Hit-Map
-     *  (bit_ceil(max(16, 2 * num_slots)) buckets of an 8-byte key and
-     *  a 4-byte slot), the hold masks and the slot keys. */
+     *  (cache::modeledHitMapBytes(num_slots)), the hold masks and the
+     *  slot keys. */
     size_t metadataBytes() const;
 
   private:

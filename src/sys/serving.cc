@@ -374,10 +374,14 @@ ServingSystem::simulate(const data::TraceDataset &dataset,
     result.busy.cpu_busy_seconds = cpu_busy * inv_iters;
     result.busy.gpu_busy_seconds = gpu_busy * inv_iters;
     result.hit_rate = hitRate(hits, ids);
-    // Cached rows plus ~16 B of Hit-Map metadata per dynamic slot.
+    // Each table's cached rows, plus the dynamic tier's Hit-Map.
+    const size_t hit_map_bytes =
+        options_.dynamic_refresh ? cache::modeledHitMapBytes(cached_rows_)
+                                 : 0;
     result.gpu_bytes =
-        static_cast<double>(cached_rows_) * model_.trace.num_tables *
-        (model_.rowBytes() + (options_.dynamic_refresh ? 16.0 : 0.0));
+        static_cast<double>(model_.trace.num_tables) *
+        (static_cast<double>(cached_rows_) * model_.rowBytes() +
+         static_cast<double>(hit_map_bytes));
     return result;
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate the golden outputs after an intentional behaviour change.
-# One command, from the repo root (builds spsim + fig13 first):
+# One command, from the repo root (builds spsim + bench_figures first):
 #
 #   tests/golden/regen.sh [build-dir]
 #
@@ -11,7 +11,7 @@ set -euo pipefail
 build=${1:-build}
 root=$(cd "$(dirname "$0")/../.." && pwd)
 
-cmake --build "$build" -j --target spsim bench_fig13_speedup
+cmake --build "$build" -j --target spsim bench_figures
 
 "$build"/spsim \
     --system hybrid,static:cache=0.1,strawman,scratchpipe,multigpu \
@@ -40,7 +40,7 @@ cmake --build "$build" -j --target spsim bench_fig13_speedup
     --batch 64 --iterations 4 --warmup 2 --seed 7 --format json \
     > "$root"/tests/golden/spsim_serve.json
 
-"$build"/bench_fig13_speedup --quick --json \
+"$build"/bench_figures --figure fig13_speedup --quick --json \
     > "$root"/tests/golden/fig13_quick.json
 
 echo "regenerated:"

@@ -3,7 +3,8 @@
  * Tests for the online serving system: spec grammar round-trips,
  * SLO percentile ordering and exactness, admission semantics
  * (batch_max vs latency budget, deadline ties), static vs dynamic
- * GPU-tier refresh, determinism, and option validation.
+ * GPU-tier refresh and its GPU bytes, determinism, and option
+ * validation.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <limits>
 #include <string>
 
+#include "cache/row_index.h"
 #include "common/logging.h"
 #include "sys/experiment.h"
 #include "sys/registry.h"
 #include "sys/serving.h"
+#include "sys/system.h"
 
 namespace sp::sys
 {
@@ -200,6 +203,26 @@ TEST(Serving, StaticAndDynamicRefreshDiffer)
     // and the dynamic tier pays HitMap metadata in gpu_bytes.
     EXPECT_NE(pinned.hit_rate, lru.hit_rate);
     EXPECT_GT(lru.gpu_bytes, pinned.gpu_bytes);
+}
+
+TEST(Serving, GpuBytesAreStoragePlusTheModeledHitMap)
+{
+    // The dynamic tier charges the Hit-Map the ScratchPipe controller
+    // charges for the same slot count; the static tier keeps none.
+    const ModelConfig model = servingModel();
+    const uint64_t rows = cachedRows(model, 0.05);
+    const double tables = static_cast<double>(model.trace.num_tables);
+    const double storage = static_cast<double>(rows) * model.rowBytes();
+    const double hit_map =
+        static_cast<double>(cache::modeledHitMapBytes(rows));
+    EXPECT_EQ(
+        runServe("serve:rate=400000,refresh=lru,cache=0.05", model)
+            .gpu_bytes,
+        tables * (storage + hit_map));
+    EXPECT_EQ(
+        runServe("serve:rate=400000,refresh=static,cache=0.05", model)
+            .gpu_bytes,
+        tables * storage);
 }
 
 TEST(Serving, DeterministicAcrossRepeatRuns)

@@ -7,10 +7,13 @@
  *   bench_figures --figure fig13_speedup [--json] [--quick]
  *   bench_figures --figure table1_training_cost --jobs 4
  *
- * kFigures holds one row per figure: its id, banner, whether it takes
- * fig13's --json/--quick, and the function that prints its body and
- * footer. main() parses the flags once, prints the banner and runs the
- * row. Every figure builds its workloads through common/workload.h.
+ * kFigures holds one row per figure: its id, banner, the optional
+ * flags it takes, and the function that prints its body and footer.
+ * main() parses the flags once, rejects an optional flag the row does
+ * not take, prints the banner and runs the row. A row takes --workload
+ * when it builds every trace through common/workload.h's makeWorkload,
+ * which overlays the shaping; fig03, fig06 and overhead_storage build
+ * their own traces, so the flag would change nothing there.
  */
 
 #include <algorithm>
@@ -926,6 +929,17 @@ serveLatencyCurve(const FigureFlags &)
                  "refresh write traffic.\n";
 }
 
+/** The optional flags a row takes; it rejects the others. */
+enum Takes : unsigned
+{
+    kNoFlags = 0,
+    /** --workload: every trace the row simulates comes from
+     *  makeWorkload. */
+    kWorkload = 1u << 0,
+    /** FigureFlags' --json/--quick. */
+    kJsonQuick = 1u << 1,
+};
+
 /** One figure or table the driver reproduces. */
 struct Figure
 {
@@ -934,8 +948,8 @@ struct Figure
     /** Banner title and paper reference. */
     const char *title;
     const char *reference;
-    /** Takes FigureFlags' --json/--quick; every other row rejects them. */
-    bool takes_json_quick;
+    /** The optional flags it takes, as Takes bits. */
+    unsigned takes;
     /** Prints the body and footer. */
     void (*run)(const FigureFlags &);
 };
@@ -945,81 +959,81 @@ constexpr Figure kFigures[] = {
      "Figure 3: sorted embedding-table access counts",
      "paper: Fig. 3 (a) Alibaba->Low (b) Anime / (c) MovieLens->Medium "
      "(d) Criteo->High",
-     false, fig03AccessDistribution},
+     kNoFlags, fig03AccessDistribution},
     {"fig05_breakdown_baseline",
      "Figure 5: baseline training-time breakdown",
      "paper: Fig. 5 -- hybrid CPU-GPU vs static cache (2%, 10%), stacked "
      "latency in ms",
-     false, fig05BreakdownBaseline},
+     kWorkload, fig05BreakdownBaseline},
     {"fig06_hitrate_vs_size",
      "Figure 6: static-cache hit rate vs cache size",
      "paper: Fig. 6 -- hit rate of a top-N cache as N grows to 100% of "
      "the table",
-     false, fig06HitrateVsSize},
+     kNoFlags, fig06HitrateVsSize},
     {"fig12a_breakdown_static",
      "Figure 12(a): baseline latency vs cache size",
      "paper: Fig. 12(a) -- 0% is the no-cache hybrid; 2-10% are static "
      "caches",
-     false, fig12aBreakdownStatic},
+     kWorkload, fig12aBreakdownStatic},
     {"fig12b_breakdown_scratchpipe",
      "Figure 12(b): ScratchPipe per-stage latency",
      "paper: Fig. 12(b) -- Plan/Collect/Exchange/Insert/Train, note the "
      "0-70 ms scale vs Fig. 12(a)'s 0-200 ms",
-     false, fig12bBreakdownScratchpipe},
+     kWorkload, fig12bBreakdownScratchpipe},
     {"fig13_speedup",
      "Figure 13: end-to-end speedup (normalized to static cache)",
-     "paper: Fig. 13 -- Hybrid / Static / Straw-man / ScratchPipe", true,
-     fig13Speedup},
+     "paper: Fig. 13 -- Hybrid / Static / Straw-man / ScratchPipe",
+     kWorkload | kJsonQuick, fig13Speedup},
     {"fig14_energy", "Figure 14: energy, static cache vs ScratchPipe",
-     "paper: Fig. 14 -- Joules per training iteration", false,
+     "paper: Fig. 14 -- Joules per training iteration", kWorkload,
      fig14Energy},
     {"fig15a_dim_sensitivity",
      "Figure 15(a): embedding-dimension sensitivity",
      "paper: Fig. 15(a) -- dims 64/128/256, speedup normalized to static "
      "cache (10%)",
-     false, fig15aDimSensitivity},
+     kWorkload, fig15aDimSensitivity},
     {"fig15b_lookup_sensitivity",
      "Figure 15(b): lookups-per-table sensitivity",
      "paper: Fig. 15(b) -- 1/20/50 gathers per table, speedup normalized "
      "to static cache (10%)",
-     false, fig15bLookupSensitivity},
+     kWorkload, fig15bLookupSensitivity},
     {"table1_training_cost", "Table I: training cost, ScratchPipe vs 8-GPU",
      "paper: Table I -- $ for 1M iterations at AWS on-demand prices",
-     false, table1TrainingCost},
+     kWorkload, table1TrainingCost},
     {"overhead_storage", "Section VI-D: implementation overhead",
      "paper: 960 MB worst-case Storage + <1 GB Hit-Map + <300 MB misc => "
      "<4 GB GPU-side allocation",
-     false, overheadStorage},
+     kNoFlags, overheadStorage},
     {"ablation_policy", "Ablation (Section VI-E): replacement policy",
      "paper: LRU (default) vs Random vs LFU -- ScratchPipe is robust to "
      "the choice",
-     false, ablationPolicy},
+     kWorkload, ablationPolicy},
     {"ablation_batch", "Ablation (Section VI-E): batch size",
      "paper: robustness under larger/smaller batches; speedups "
      "normalized to static cache (10%)",
-     false, ablationBatch},
+     kWorkload, ablationBatch},
     {"ablation_mlp", "Ablation (Section VI-E): MLP-intensive models",
      "paper: effectiveness under more MLP-heavy (less "
      "embedding-intensive) RecSys configurations",
-     false, ablationMlp},
+     kWorkload, ablationMlp},
     {"ablation_window", "Ablation: hold-mask window geometry",
      "paper: fixed at past 3 / future 2 by the pipeline depth; this "
      "sweep shows deeper windows only cost capacity",
-     false, ablationWindow},
+     kWorkload, ablationWindow},
     {"ablation_optimizer",
      "Ablation: embedding optimizer (SGD vs sparse AdaGrad)",
      "extension beyond the paper (which trains with SGD); AdaGrad state "
      "rides every fill/write-back/scatter",
-     false, ablationOptimizer},
+     kWorkload, ablationOptimizer},
     {"extension_multigpu_scratchpipe",
      "Extension (Section VI-G): multi-GPU ScratchPipe",
      "paper: discussed qualitatively; predicted viable but not "
      "cost-effective vs single-GPU ScratchPipe",
-     false, extensionMultigpuScratchpipe},
+     kWorkload, extensionMultigpuScratchpipe},
     {"serve_latency_curve", "Serving latency-throughput curve",
      "north-star scenario: open-loop inference over the paper geometry, "
      "GPU embedding cache over a host parameter server",
-     false, serveLatencyCurve},
+     kWorkload, serveLatencyCurve},
 };
 
 /** Every id, comma-separated, in table order. */
@@ -1080,9 +1094,14 @@ main(int argc, char **argv)
             bench::findFigure(args.getString("figure"));
         const bench::FigureFlags flags{args.getBool("json"),
                                        args.getBool("quick")};
-        fatalIf(!figure.takes_json_quick && (flags.json || flags.quick),
+        fatalIf(!(figure.takes & bench::kJsonQuick) &&
+                    (flags.json || flags.quick),
                 "figure '", figure.id,
                 "' takes no --json or --quick (fig13_speedup does)");
+        fatalIf(!(figure.takes & bench::kWorkload) &&
+                    !args.getString("workload").empty(),
+                "figure '", figure.id,
+                "' builds its own traces and takes no --workload");
         bench::applyCommonFlags(args);
         if (!flags.json)
             bench::printBanner(figure);

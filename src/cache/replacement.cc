@@ -1,9 +1,6 @@
 #include "cache/replacement.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "common/logging.h"
 
 namespace sp::cache
 {
@@ -41,235 +38,27 @@ policyFromName(const std::string &name)
     fatal("unknown replacement policy '", name, "'");
 }
 
-namespace
+LruPolicy::LruPolicy(uint32_t num_slots)
+    : num_slots_(num_slots), prev_(num_slots + 1ull), next_(num_slots + 1ull)
 {
-
-/** True LRU via an intrusive doubly-linked list over slot indices. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    void
-    reset(uint32_t num_slots) override
-    {
-        num_slots_ = num_slots;
-        // Index num_slots_ acts as the list sentinel.
-        prev_.assign(num_slots_ + 1, 0);
-        next_.assign(num_slots_ + 1, 0);
-        // Initially slot 0 is MRU and slot n-1 is LRU; untouched slots
-        // are therefore evicted first, in ascending slot order.
-        for (uint32_t s = 0; s <= num_slots_; ++s) {
-            next_[s] = s + 1 <= num_slots_ ? s + 1 : 0;
-            prev_[s] = s > 0 ? s - 1 : num_slots_;
-        }
+    for (uint32_t s = 0; s <= num_slots_; ++s) {
+        next_[s] = s + 1 <= num_slots_ ? s + 1 : 0;
+        prev_[s] = s > 0 ? s - 1 : num_slots_;
     }
+}
 
-    void
-    touch(uint32_t slot) override
-    {
-        panicIf(slot >= num_slots_, "LRU touch of bad slot ", slot);
-        unlink(slot);
-        // Insert at MRU position (right after the sentinel).
-        const uint32_t sentinel = num_slots_;
-        const uint32_t old_head = next_[sentinel];
-        next_[sentinel] = slot;
-        prev_[slot] = sentinel;
-        next_[slot] = old_head;
-        prev_[old_head] = slot;
-    }
-
-    uint32_t
-    chooseVictim(const std::function<bool(uint32_t)> &eligible) override
-    {
-        const uint32_t sentinel = num_slots_;
-        uint32_t victim = kNoVictim;
-        // splint:allow(hot-path-transitive-alloc): std::vector::clear, not fault::clear -- severs the false edge
-        skipped_.clear();
-        for (uint32_t s = prev_[sentinel]; s != sentinel; s = prev_[s]) {
-            if (eligible(s)) {
-                victim = s;
-                break;
-            }
-            // skipped_ is cleared, never shrunk, so its capacity is
-            // retained across calls and bounded by num_slots_.
-            // splint:allow(hot-path-transitive-alloc): capacity retained, steady state allocation-free
-            skipped_.push_back(s);
-        }
-        // Ineligible slots at the cold end are held by in-flight
-        // mini-batches, i.e. in active use: promote them so the next
-        // walk does not wade through the same prefix again (turns the
-        // per-batch victim search from O(held) back into O(1)).
-        for (uint32_t s : skipped_)
-            touch(s);
-        return victim;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Lru; }
-
-  private:
-    void
-    unlink(uint32_t slot)
-    {
-        next_[prev_[slot]] = next_[slot];
-        prev_[next_[slot]] = prev_[slot];
-    }
-
-    uint32_t num_slots_ = 0;
-    std::vector<uint32_t> prev_;
-    std::vector<uint32_t> next_;
-    std::vector<uint32_t> skipped_;
-};
-
-/**
- * Sampled LFU: pick the minimum-frequency eligible slot among random
- * samples (Redis-style approximation); falls back to a full scan when
- * sampling finds nothing eligible.
- */
-class LfuPolicy : public ReplacementPolicy
-{
-  public:
-    explicit LfuPolicy(uint64_t seed) : rng_(seed) {}
-
-    void
-    reset(uint32_t num_slots) override
-    {
-        num_slots_ = num_slots;
-        counts_.assign(num_slots_, 0);
-    }
-
-    void
-    touch(uint32_t slot) override
-    {
-        panicIf(slot >= num_slots_, "LFU touch of bad slot ", slot);
-        ++counts_[slot];
-    }
-
-    uint32_t
-    chooseVictim(const std::function<bool(uint32_t)> &eligible) override
-    {
-        constexpr int kSamples = 64;
-        constexpr int kRounds = 8;
-        for (int round = 0; round < kRounds; ++round) {
-            uint32_t best = kNoVictim;
-            uint64_t best_count = std::numeric_limits<uint64_t>::max();
-            for (int i = 0; i < kSamples; ++i) {
-                const uint32_t s =
-                    static_cast<uint32_t>(rng_.uniformInt(num_slots_));
-                if (counts_[s] < best_count && eligible(s)) {
-                    best = s;
-                    best_count = counts_[s];
-                }
-            }
-            if (best != kNoVictim)
-                return best;
-        }
-        // Full scan fallback (rare: nearly all slots held).
-        uint32_t best = kNoVictim;
-        uint64_t best_count = std::numeric_limits<uint64_t>::max();
-        for (uint32_t s = 0; s < num_slots_; ++s) {
-            if (counts_[s] < best_count && eligible(s)) {
-                best = s;
-                best_count = counts_[s];
-            }
-        }
-        return best;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Lfu; }
-
-  private:
-    uint32_t num_slots_ = 0;
-    std::vector<uint64_t> counts_;
-    tensor::Rng rng_;
-};
-
-/** Uniform-random eviction with a scan fallback. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(uint64_t seed) : rng_(seed) {}
-
-    void
-    reset(uint32_t num_slots) override
-    {
-        num_slots_ = num_slots;
-    }
-
-    void touch(uint32_t) override {}
-
-    uint32_t
-    chooseVictim(const std::function<bool(uint32_t)> &eligible) override
-    {
-        constexpr int kProbes = 256;
-        for (int i = 0; i < kProbes; ++i) {
-            const uint32_t s =
-                static_cast<uint32_t>(rng_.uniformInt(num_slots_));
-            if (eligible(s))
-                return s;
-        }
-        const uint32_t start =
-            static_cast<uint32_t>(rng_.uniformInt(num_slots_));
-        for (uint32_t i = 0; i < num_slots_; ++i) {
-            const uint32_t s = (start + i) % num_slots_;
-            if (eligible(s))
-                return s;
-        }
-        return kNoVictim;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Random; }
-
-  private:
-    uint32_t num_slots_ = 0;
-    tensor::Rng rng_;
-};
-
-/** Circular-hand FIFO. */
-class FifoPolicy : public ReplacementPolicy
-{
-  public:
-    void
-    reset(uint32_t num_slots) override
-    {
-        num_slots_ = num_slots;
-        hand_ = 0;
-    }
-
-    void touch(uint32_t) override {}
-
-    uint32_t
-    chooseVictim(const std::function<bool(uint32_t)> &eligible) override
-    {
-        for (uint32_t i = 0; i < num_slots_; ++i) {
-            const uint32_t s = (hand_ + i) % num_slots_;
-            if (eligible(s)) {
-                hand_ = (s + 1) % num_slots_;
-                return s;
-            }
-        }
-        return kNoVictim;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Fifo; }
-
-  private:
-    uint32_t num_slots_ = 0;
-    uint32_t hand_ = 0;
-};
-
-} // namespace
-
-std::unique_ptr<ReplacementPolicy>
-makePolicy(PolicyKind kind, uint64_t seed)
+Policy
+makePolicy(PolicyKind kind, uint32_t num_slots, uint64_t seed)
 {
     switch (kind) {
       case PolicyKind::Lru:
-        return std::make_unique<LruPolicy>();
+        return LruPolicy(num_slots);
       case PolicyKind::Lfu:
-        return std::make_unique<LfuPolicy>(seed);
+        return LfuPolicy(num_slots, seed);
       case PolicyKind::Random:
-        return std::make_unique<RandomPolicy>(seed);
+        return RandomPolicy(num_slots, seed);
       case PolicyKind::Fifo:
-        return std::make_unique<FifoPolicy>();
+        return FifoPolicy(num_slots);
     }
     panic("unknown PolicyKind");
 }

@@ -3,38 +3,19 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/logging.h"
-
 namespace sp::cache
 {
 
 void
-RowIndex::insert(uint64_t id, uint32_t slot)
+RowIndex::addPage(uint64_t page)
 {
-    panicIf(slot == kNotFound, "RowIndex::insert of the not-found slot "
-                               "for id ", id);
-    panicIf(find(id) != kNotFound, "RowIndex::insert of already-present id ",
-            id);
-    const uint64_t page = id >> kPageBits;
     if (page >= pages_.size()) {
         // splint:allow(hot-path-transitive-alloc): the directory grows only when an insert passes its highest page
         pages_.resize(page + 1);
     }
-    if (!pages_[page]) {
-        // splint:allow(hot-path-transitive-alloc): one page per 2^16 rows on its first insert, never again for the cache's life
-        pages_[page] = std::make_unique<uint32_t[]>(kPageRows);
-        std::fill_n(pages_[page].get(), kPageRows, kNotFound);
-    }
-    pages_[page][id & (kPageRows - 1)] = slot;
-    ++size_;
-}
-
-void
-RowIndex::erase(uint64_t id)
-{
-    panicIf(find(id) == kNotFound, "RowIndex::erase of absent id ", id);
-    pages_[id >> kPageBits][id & (kPageRows - 1)] = kNotFound;
-    --size_;
+    // splint:allow(hot-path-transitive-alloc): one page per 2^16 rows on its first insert, never again for the cache's life
+    pages_[page] = std::make_unique<uint32_t[]>(kPageRows);
+    std::fill_n(pages_[page].get(), kPageRows, kNotFound);
 }
 
 void

@@ -15,6 +15,10 @@
  * insert. Lookups never allocate: an ID past the directory or on an
  * unallocated page is simply not found. IDs are full 64-bit values, so
  * tables above 2^32 rows do not alias.
+ *
+ * The page reads are random over megabytes, so the hot loops call
+ * prefetch() a fixed distance ahead of find() to overlap those cache
+ * misses. Everything but a page's first allocation is inline.
  */
 
 #ifndef SP_CACHE_ROW_INDEX_H
@@ -25,6 +29,8 @@
 #include <functional>
 #include <memory>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace sp::cache
 {
@@ -56,14 +62,45 @@ class RowIndex
     bool contains(uint64_t id) const { return find(id) != kNotFound; }
 
     /**
+     * Start loading `id`'s entry into the CPU cache ahead of its find.
+     * Allocates nothing; an ID past the directory or on an unallocated
+     * page is ignored.
+     */
+    void
+    prefetch(uint64_t id) const
+    {
+        const uint64_t page = id >> kPageBits;
+        if (page < pages_.size() && pages_[page])
+            __builtin_prefetch(&pages_[page][id & (kPageRows - 1)]);
+    }
+
+    /**
      * Insert id -> slot. The id must not already be present (the
      * caches never double-insert) and `slot` must not be kNotFound;
      * panics otherwise.
      */
-    void insert(uint64_t id, uint32_t slot);
+    void
+    insert(uint64_t id, uint32_t slot)
+    {
+        panicIf(slot == kNotFound, "RowIndex::insert of the not-found "
+                                   "slot for id ", id);
+        panicIf(find(id) != kNotFound,
+                "RowIndex::insert of already-present id ", id);
+        const uint64_t page = id >> kPageBits;
+        if (page >= pages_.size() || !pages_[page])
+            addPage(page);
+        pages_[page][id & (kPageRows - 1)] = slot;
+        ++size_;
+    }
 
     /** Remove `id`; panics if absent. */
-    void erase(uint64_t id);
+    void
+    erase(uint64_t id)
+    {
+        panicIf(find(id) == kNotFound, "RowIndex::erase of absent id ", id);
+        pages_[id >> kPageBits][id & (kPageRows - 1)] = kNotFound;
+        --size_;
+    }
 
     /** Visit every (id, slot) pair in increasing id order. */
     void forEach(const std::function<void(uint64_t, uint32_t)> &fn) const;
@@ -72,6 +109,10 @@ class RowIndex
     size_t memoryBytes() const;
 
   private:
+    /** Allocate the absent `page`, filled with kNotFound, growing the
+     *  directory to reach it. */
+    void addPage(uint64_t page);
+
     std::vector<std::unique_ptr<uint32_t[]>> pages_;
     size_t size_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <variant>
 
 #include "common/logging.h"
 
@@ -11,14 +12,14 @@ namespace sp::core
 ScratchPipeController::ScratchPipeController(const ControllerConfig &config)
     : config_(config),
       holds_(config.num_slots, config.past_window, config.future_window),
-      policy_(cache::makePolicy(config.policy, config.policy_seed)),
+      policy_(cache::makePolicy(config.policy, config.num_slots,
+                                config.policy_seed)),
       storage_(config.num_slots, config.dim, config.backing),
       slot_key_(config.num_slots, kNoKey)
 {
     fatalIf(config.num_slots == 0,
             "ScratchPipe controller needs at least one slot");
     fatalIf(config.dim == 0, "embedding dimension must be positive");
-    policy_->reset(config.num_slots);
 
     if (config.warm_start) {
         fatalIf(storage_.isDense(),
@@ -29,11 +30,15 @@ ScratchPipeController::ScratchPipeController(const ControllerConfig &config)
         // Resident set = rows 0..num_slots-1 (the hottest ranks).
         // Touch order makes slot 0 the MRU end, matching where a long
         // LRU run on a rank-ordered Zipf trace converges.
-        for (uint32_t slot = config.num_slots; slot-- > 0;) {
-            index_.insert(slot, slot);
-            slot_key_[slot] = slot;
-            policy_->touch(slot);
-        }
+        std::visit(
+            [this](auto &policy) {
+                for (uint32_t slot = config_.num_slots; slot-- > 0;) {
+                    index_.insert(slot, slot);
+                    slot_key_[slot] = slot;
+                    policy.touch(slot);
+                }
+            },
+            policy_);
     }
 }
 
@@ -41,8 +46,10 @@ void
 ScratchPipeController::markPass(std::span<const uint64_t> ids,
                                 uint32_t future_distance)
 {
-    for (const uint64_t id : ids) {
-        const uint32_t slot = index_.find(id);
+    for (size_t i = 0; i < ids.size(); ++i) {
+        if (i + kPrefetchDistance < ids.size())
+            index_.prefetch(ids[i + kPrefetchDistance]);
+        const uint32_t slot = index_.find(ids[i]);
         if (slot == cache::RowIndex::kNotFound)
             continue;
         if (future_distance == 0)
@@ -90,43 +97,50 @@ ScratchPipeController::plan(
     if (config_.future_window < 2)
         markPass(current_ids, 0);
 
-    // splint:hot-path-begin(plan-classify)
-    // Step C: classify the current batch and assign victims to misses.
-    // Each lookup sees the live index, so a duplicate of an ID missed
-    // earlier in this batch hits the slot that miss filled.
-    for (const uint64_t id : current_ids) {
-        const uint32_t slot = index_.find(id);
-        if (slot != cache::RowIndex::kNotFound) {
-            ++plan_.hits;
-            policy_->touch(slot);
-            holds_.markCurrent(slot);
-            continue;
-        }
+    // Step C: classify the current batch and assign victims to misses,
+    // in a loop compiled for the policy's concrete type. Each lookup
+    // sees the live index, so a duplicate of an ID missed earlier in
+    // this batch hits the slot that miss filled.
+    std::visit([this, current_ids](auto &policy) {
+        // splint:hot-path-begin(plan-classify)
+        for (size_t i = 0; i < current_ids.size(); ++i) {
+            if (i + kPrefetchDistance < current_ids.size())
+                index_.prefetch(current_ids[i + kPrefetchDistance]);
+            const uint64_t id = current_ids[i];
+            const uint32_t slot = index_.find(id);
+            if (slot != cache::RowIndex::kNotFound) {
+                ++plan_.hits;
+                policy.touch(slot);
+                holds_.markCurrent(slot);
+                continue;
+            }
 
-        ++plan_.misses;
-        const uint32_t victim = policy_->chooseVictim(
-            [this](uint32_t s) { return !holds_.isHeld(s); });
-        fatalIf(victim == cache::ReplacementPolicy::kNoVictim,
-                "scratchpad under-provisioned: all ", config_.num_slots,
-                " slots are held by in-flight mini-batches; provision at "
-                "least the worst-case window working set (paper §VI-D)");
+            ++plan_.misses;
+            const uint32_t victim = policy.chooseVictim(
+                [this](uint32_t s) { return !holds_.isHeld(s); });
+            fatalIf(victim == cache::kNoVictim,
+                    "scratchpad under-provisioned: all ", config_.num_slots,
+                    " slots are held by in-flight mini-batches; provision "
+                    "at least the worst-case window working set (paper "
+                    "§VI-D)");
 
-        const uint64_t old_key = slot_key_[victim];
-        if (old_key != kNoKey) {
-            index_.erase(old_key);
-            // plan_ is per-controller scratch; clear() above keeps
-            // the vector's allocation, so steady state never grows.
+            const uint64_t old_key = slot_key_[victim];
+            if (old_key != kNoKey) {
+                index_.erase(old_key);
+                // plan_ is per-controller scratch; clear() above keeps
+                // the vector's allocation, so steady state never grows.
+                // splint:allow(hot-path-alloc): capacity retained across plans
+                plan_.evictions.push_back(EvictOp{old_key, victim});
+            }
+            index_.insert(id, victim);
+            slot_key_[victim] = id;
             // splint:allow(hot-path-alloc): capacity retained across plans
-            plan_.evictions.push_back(EvictOp{old_key, victim});
+            plan_.fills.push_back(FillOp{id, victim});
+            policy.touch(victim);
+            holds_.markCurrent(victim);
         }
-        index_.insert(id, victim);
-        slot_key_[victim] = id;
-        // splint:allow(hot-path-alloc): capacity retained across plans
-        plan_.fills.push_back(FillOp{id, victim});
-        policy_->touch(victim);
-        holds_.markCurrent(victim);
-    }
-    // splint:hot-path-end
+        // splint:hot-path-end
+    }, policy_);
 
     ++stats_.plans;
     stats_.hits += plan_.hits;

@@ -22,6 +22,12 @@
  * (timing runs). This split keeps Algorithm 1 testable in isolation.
  * The host answers Hit-Map queries from a cache::RowIndex; the GPU
  * Hit-Map itself is charged by formula (metadataBytes()).
+ *
+ * plan() dispatches on the replacement policy once per call, so its
+ * classify loop is compiled for that policy's concrete type: touch()
+ * and the hold-mask eligibility check inline, with no indirect call
+ * per ID. The mark passes and the classify loop prefetch the row
+ * index kPrefetchDistance IDs ahead of each lookup.
  */
 
 #ifndef SP_CORE_CONTROLLER_H
@@ -30,7 +36,6 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -224,6 +229,11 @@ class ScratchPipeController
     size_t metadataBytes() const;
 
   private:
+    /** IDs between a row-index prefetch and the lookup it serves:
+     *  enough lookups to cover a cache miss, few enough that the
+     *  prefetched lines are still cached when their lookup comes. */
+    static constexpr size_t kPrefetchDistance = 16;
+
     /** Mark every resident ID of `ids`: markCurrent when
      *  `future_distance` is 0, markFuture(distance) otherwise. */
     void markPass(std::span<const uint64_t> ids, uint32_t future_distance);
@@ -231,7 +241,7 @@ class ScratchPipeController
     ControllerConfig config_;
     cache::RowIndex index_;
     HoldMask holds_;
-    std::unique_ptr<cache::ReplacementPolicy> policy_;
+    cache::Policy policy_;
     cache::SlotArray storage_;
     std::vector<uint64_t> slot_key_;
     ControllerStats stats_;

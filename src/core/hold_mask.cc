@@ -26,25 +26,6 @@ HoldMask::advance()
         mask = static_cast<uint16_t>(mask >> 1);
 }
 
-void
-HoldMask::markCurrent(uint32_t slot)
-{
-    panicIf(slot >= num_slots_, "markCurrent of bad slot ", slot);
-    masks_[slot] =
-        static_cast<uint16_t>(masks_[slot] | (1u << past_window_));
-}
-
-void
-HoldMask::markFuture(uint32_t slot, uint32_t distance)
-{
-    panicIf(slot >= num_slots_, "markFuture of bad slot ", slot);
-    panicIf(distance == 0 || distance > future_window_,
-            "markFuture distance ", distance, " outside window of ",
-            future_window_);
-    masks_[slot] = static_cast<uint16_t>(
-        masks_[slot] | (1u << (past_window_ + distance)));
-}
-
 uint32_t
 HoldMask::heldCount() const
 {

@@ -29,6 +29,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace sp::core
 {
 
@@ -60,13 +62,28 @@ class HoldMask
     void advance();
 
     /** Mark `slot` as used by the current batch. */
-    void markCurrent(uint32_t slot);
+    void
+    markCurrent(uint32_t slot)
+    {
+        panicIf(slot >= num_slots_, "markCurrent of bad slot ", slot);
+        masks_[slot] =
+            static_cast<uint16_t>(masks_[slot] | (1u << past_window_));
+    }
 
     /**
      * Mark `slot` as used by the batch `distance` plans in the future
      * (1 <= distance <= future_window).
      */
-    void markFuture(uint32_t slot, uint32_t distance);
+    void
+    markFuture(uint32_t slot, uint32_t distance)
+    {
+        panicIf(slot >= num_slots_, "markFuture of bad slot ", slot);
+        panicIf(distance == 0 || distance > future_window_,
+                "markFuture distance ", distance, " outside window of ",
+                future_window_);
+        masks_[slot] = static_cast<uint16_t>(
+            masks_[slot] | (1u << (past_window_ + distance)));
+    }
 
     /** True iff any batch in the window holds `slot`. */
     bool isHeld(uint32_t slot) const { return masks_[slot] != 0; }

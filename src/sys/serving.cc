@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <memory>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cache/row_index.h"
@@ -20,58 +21,46 @@ namespace
 {
 
 /**
- * One table's GPU embedding-cache tier. Static mode pins the hottest
- * `capacity` ranks (synthetic IDs are rank-ordered, so `id < capacity`
- * is the hot-set test, as in StaticCacheSystem). Dynamic mode runs a
- * RowIndex + ReplacementPolicy cache that admits every missed row.
+ * One table's dynamic GPU embedding-cache tier: a RowIndex + `Policy`
+ * cache that admits every missed row. Typed on the policy, so a lookup
+ * makes no indirect call.
  */
+template <typename Policy>
 class TierCache
 {
   public:
-    TierCache(bool dynamic, uint64_t capacity, cache::PolicyKind kind,
-              uint64_t seed)
-        : dynamic_(dynamic), capacity_(capacity)
+    TierCache(uint32_t capacity, Policy policy)
+        : capacity_(capacity), policy_(std::move(policy)),
+          slot_key_(capacity, 0)
     {
-        if (!dynamic_)
-            return;
-        // Slot indices are 32-bit, and 2^32 - 1 is the row index's
-        // not-found sentinel.
-        fatalIf(capacity_ >= 0xffffffffull,
-                "serve: GPU tier of ", capacity_,
-                " rows per table exceeds the 32-bit slot space");
-        policy_ = cache::makePolicy(kind, seed);
-        policy_->reset(static_cast<uint32_t>(capacity_));
-        slot_key_.resize(static_cast<size_t>(capacity_), 0);
     }
 
-    /** True when `id` is GPU-resident; dynamic mode admits misses. */
-    bool lookup(uint64_t id)
+    /** True when `id` is GPU-resident; a miss admits it. */
+    bool
+    lookup(uint64_t id)
     {
-        if (!dynamic_)
-            return id < capacity_;
         uint32_t slot = index_.find(id);
         if (slot != cache::RowIndex::kNotFound) {
-            policy_->touch(slot);
+            policy_.touch(slot);
             return true;
         }
         if (used_ < capacity_) {
-            slot = static_cast<uint32_t>(used_++);
+            slot = used_++;
         } else {
-            slot = policy_->chooseVictim([](uint32_t) { return true; });
+            slot = policy_.chooseVictim([](uint32_t) { return true; });
             index_.erase(slot_key_[slot]);
         }
         index_.insert(id, slot);
         slot_key_[slot] = id;
-        policy_->touch(slot);
+        policy_.touch(slot);
         return false;
     }
 
   private:
-    bool dynamic_;
-    uint64_t capacity_;
-    uint64_t used_ = 0;
+    uint32_t capacity_;
+    uint32_t used_ = 0;
     cache::RowIndex index_;
-    std::unique_ptr<cache::ReplacementPolicy> policy_;
+    Policy policy_;
     std::vector<uint64_t> slot_key_;
 };
 
@@ -178,26 +167,47 @@ replayTiers(const data::TraceDataset &dataset, const ModelConfig &model,
     const size_t batches = admission.end.size();
     std::vector<uint64_t> hits(model.trace.num_tables * batches, 0);
     common::parallelFor(model.trace.num_tables, [&](size_t t) {
-        TierCache tier(options.dynamic_refresh, cached_rows,
-                       options.policy,
-                       model.trace.seed + 0x5e57e * (t + 1));
-        size_t i = 0;
-        for (size_t b = 0; b < batches; ++b) {
-            uint64_t batch_hits = 0;
-            // splint:hot-path-begin(serve-tier-replay)
-            for (; i < admission.end[b]; ++i) {
-                const uint64_t index = admission.requests[i].index;
-                const size_t sample =
-                    static_cast<size_t>(index % trace_batch);
-                for (const uint64_t id :
-                     dataset.batch(index / trace_batch)
-                         .ids(t)
-                         .subspan(sample * lookups, lookups))
-                    batch_hits += tier.lookup(id) ? 1 : 0;
+        // Replays table t through `lookup`, true on a GPU-tier hit.
+        const auto replay = [&](auto &&lookup) {
+            size_t i = 0;
+            for (size_t b = 0; b < batches; ++b) {
+                uint64_t batch_hits = 0;
+                // splint:hot-path-begin(serve-tier-replay)
+                for (; i < admission.end[b]; ++i) {
+                    const uint64_t index = admission.requests[i].index;
+                    const size_t sample =
+                        static_cast<size_t>(index % trace_batch);
+                    for (const uint64_t id :
+                         dataset.batch(index / trace_batch)
+                             .ids(t)
+                             .subspan(sample * lookups, lookups))
+                        batch_hits += lookup(id) ? 1 : 0;
+                }
+                // splint:hot-path-end
+                hits[t * batches + b] = batch_hits;
             }
-            // splint:hot-path-end
-            hits[t * batches + b] = batch_hits;
+        };
+        if (!options.dynamic_refresh) {
+            // Static tier: the hottest `cached_rows` ranks (synthetic
+            // IDs are rank-ordered, as in StaticCacheSystem).
+            replay([cached_rows](uint64_t id) { return id < cached_rows; });
+            return;
         }
+        // Slot indices are 32-bit, and 2^32 - 1 is the row index's
+        // not-found sentinel.
+        fatalIf(cached_rows >= 0xffffffffull,
+                "serve: GPU tier of ", cached_rows,
+                " rows per table exceeds the 32-bit slot space");
+        const auto capacity = static_cast<uint32_t>(cached_rows);
+        cache::Policy policy =
+            cache::makePolicy(options.policy, capacity,
+                              model.trace.seed + 0x5e57e * (t + 1));
+        std::visit(
+            [&](auto &typed) {
+                TierCache tier(capacity, std::move(typed));
+                replay([&tier](uint64_t id) { return tier.lookup(id); });
+            },
+            policy);
     });
     return hits;
 }

@@ -45,9 +45,9 @@
  *
  * GPU-tier refresh: `refresh=static` pins the hottest ranks
  * (synthetic IDs are rank-ordered, as in StaticCacheSystem);
- * lru/lfu/fifo/random run a dynamic cache (cache::RowIndex +
- * cache::ReplacementPolicy) that admits every missed row, evicting
- * the policy's victim.
+ * lru/lfu/fifo/random run a dynamic cache (cache::RowIndex + one of
+ * the cache::Policy types, its lookup loop typed on the policy) that
+ * admits every missed row, evicting the policy's victim.
  *
  * Fault site "serve.request.drop": when armed, the arriving request
  * is counted dropped and excluded from latency/queue accounting; the

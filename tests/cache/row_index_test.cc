@@ -78,6 +78,15 @@ TEST(RowIndex, FindOnAnUntouchedPageAllocatesNothing)
     EXPECT_EQ(index.find(uint64_t{1} << 62), RowIndex::kNotFound);
     EXPECT_EQ(index.memoryBytes(), two_pages);
     EXPECT_GE(two_pages - bytes, RowIndex::kPageRows * sizeof(uint32_t));
+    // Prefetches of an untouched page, the first ID past the directory
+    // (pages 0..3) and the largest ID allocate nothing either.
+    index.prefetch(RowIndex::kPageRows + 5);
+    index.prefetch(4 * RowIndex::kPageRows);
+    index.prefetch(~uint64_t{0});
+    index.prefetch(5);
+    EXPECT_EQ(index.memoryBytes(), two_pages);
+    EXPECT_EQ(index.size(), 2u);
+    EXPECT_EQ(index.find(5), 0u);
 }
 
 TEST(RowIndex, DoubleInsertPanics)

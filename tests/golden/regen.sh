@@ -40,6 +40,13 @@ cmake --build "$build" -j --target spsim bench_figures
     --batch 64 --iterations 4 --warmup 2 --seed 7 --format json \
     > "$root"/tests/golden/spsim_serve.json
 
+serve="serve:rate=500000,arrival=bursty,batch_max=16,budget_us=300"
+"$build"/spsim \
+    --system "scratchpipe:policy=lfu,scratchpipe:policy=random,scratchpipe:policy=fifo,strawman:policy=lfu,strawman:policy=random,strawman:policy=fifo,$serve,refresh=lfu,$serve,refresh=random,$serve,refresh=fifo" \
+    --locality medium --tables 3 --rows 20000 --dim 16 --lookups 4 \
+    --batch 64 --iterations 4 --warmup 2 --seed 7 --format json \
+    > "$root"/tests/golden/spsim_policies.json
+
 "$build"/bench_figures --figure fig13_speedup --quick --json \
     > "$root"/tests/golden/fig13_quick.json
 

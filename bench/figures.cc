@@ -34,6 +34,7 @@
 #include "metrics/energy.h"
 #include "metrics/table_printer.h"
 #include "sys/multigpu.h"
+#include "sys/plan_fanout.h"
 #include "sys/scratchpipe_sys.h"
 
 namespace sp::bench
@@ -335,6 +336,24 @@ fig12bBreakdownScratchpipe(const FigureFlags &)
                  "once the hit rate is high.\n";
 }
 
+// fig13's --quick geometry and pinned counts back the golden-output
+// regression test: keep them stable, or regenerate
+// tests/golden/fig13_quick.json (see tests/golden/regen.sh).
+constexpr uint64_t kQuickWarmup = 2;
+constexpr uint64_t kQuickMeasure = 3;
+
+sys::ModelConfig
+quickModel()
+{
+    sys::ModelConfig model = sys::ModelConfig::paperDefault();
+    model.trace.num_tables = 2;
+    model.trace.rows_per_table = 50'000;
+    model.trace.lookups_per_table = 4;
+    model.trace.batch_size = 128;
+    model.embedding_dim = 16;
+    return model;
+}
+
 /**
  * Fig. 13: end-to-end speedup of the four design points, normalized to
  * the static cache at the same size, over 2-10% caches and the four
@@ -344,19 +363,11 @@ fig12bBreakdownScratchpipe(const FigureFlags &)
 void
 fig13Speedup(const FigureFlags &flags)
 {
-    // The --quick geometry backs the golden-output regression test:
-    // keep it (and the pinned warmup/measure) stable, or regenerate
-    // tests/golden/fig13_quick.json (see tests/golden/regen.sh).
-    sys::ModelConfig quick_model = sys::ModelConfig::paperDefault();
-    quick_model.trace.num_tables = 2;
-    quick_model.trace.rows_per_table = 50'000;
-    quick_model.trace.lookups_per_table = 4;
-    quick_model.trace.batch_size = 128;
-    quick_model.embedding_dim = 16;
+    const sys::ModelConfig quick_model = quickModel();
     WorkloadOptions quick_options;
     quick_options.base = &quick_model;
-    quick_options.warmup = 2;
-    quick_options.measure = 3;
+    quick_options.warmup = kQuickWarmup;
+    quick_options.measure = kQuickMeasure;
 
     TablePrinter table({"locality", "cache", "hybrid", "static",
                         "strawman", "scratchpipe", "sp_cycle_ms"});
@@ -580,8 +591,10 @@ overheadStorage(const FigureFlags &)
         sys::ScratchPipeOptions options;
         options.cache_fraction = fraction;
         options.warm_start = false;
-        auto controllers = sys::makeScratchpadControllers(
-            model, options, cache::SlotArray::Backing::Phantom);
+        std::vector<core::ScratchPipeController> controllers;
+        for (size_t t = 0; t < model.trace.num_tables; ++t)
+            controllers.push_back(sys::makeScratchpadController(
+                model, options, cache::SlotArray::Backing::Phantom, t));
 
         data::TraceConfig trace = model.trace;
         trace.locality = data::Locality::Random;
@@ -594,10 +607,7 @@ overheadStorage(const FigureFlags &)
         for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
             common::parallelFor(trace.num_tables, [&](size_t t) {
                 std::vector<std::span<const uint64_t>> futures;
-                for (uint32_t d = 1; d <= options.future_window; ++d)
-                    if (const auto *next = dataset.lookAhead(b, d))
-                        futures.emplace_back(next->ids(t));
-                controllers[t].plan(dataset.batch(b).ids(t), futures);
+                sys::planTableBatch(controllers[t], dataset, b, t, futures);
                 held[t] = std::max<uint64_t>(
                     held[t], controllers[t].holdMask().heldCount());
             });
@@ -934,7 +944,7 @@ enum Takes : unsigned
 {
     kNoFlags = 0,
     /** --workload: every trace the row simulates comes from
-     *  makeWorkload. */
+     *  makeWorkload, which also reads the SP_BENCH_* counts. */
     kWorkload = 1u << 0,
     /** FigureFlags' --json/--quick. */
     kJsonQuick = 1u << 1,
@@ -1056,15 +1066,32 @@ findFigure(const std::string &id)
     fatal("unknown figure '", id, "'; one of: ", figureIds());
 }
 
+/** The title, the paper reference, the geometry and, on a row that
+ *  reads them, the warmup/measure counts its run uses. */
 void
-printBanner(const Figure &figure)
+printBanner(const Figure &figure, const FigureFlags &flags)
 {
     std::cout << "\n=== " << figure.title << " ===\n"
-              << figure.reference << "\n"
-              << "geometry: 8 tables x 10M rows x 128-dim unless noted; "
-              << "batch 2048; 20 lookups/table\n"
-              << "warmup " << warmupIterations() << " iters, measuring "
-              << measureIterations() << " iters\n\n";
+              << figure.reference << "\n";
+    const auto counts = [](uint64_t warmup, uint64_t measure) {
+        std::cout << "warmup " << warmup << " iters, measuring " << measure
+                  << " iters\n";
+    };
+    if (flags.quick) {
+        const sys::ModelConfig quick = quickModel();
+        std::cout << "geometry: " << quick.trace.num_tables << " tables x "
+                  << quick.trace.rows_per_table << " rows x "
+                  << quick.embedding_dim << "-dim; batch "
+                  << quick.trace.batch_size << "; "
+                  << quick.trace.lookups_per_table << " lookups/table\n";
+        counts(kQuickWarmup, kQuickMeasure);
+    } else {
+        std::cout << "geometry: 8 tables x 10M rows x 128-dim unless "
+                     "noted; batch 2048; 20 lookups/table\n";
+        if (figure.takes & kWorkload)
+            counts(warmupIterations(), measureIterations());
+    }
+    std::cout << "\n";
 }
 
 } // namespace
@@ -1104,7 +1131,7 @@ main(int argc, char **argv)
                 "' builds its own traces and takes no --workload");
         bench::applyCommonFlags(args);
         if (!flags.json)
-            bench::printBanner(figure);
+            bench::printBanner(figure, flags);
         figure.run(flags);
     } catch (const FatalError &error) {
         // A bad flag or spec is a usage error, not a crash: print the

@@ -1,7 +1,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <cstring>
 #include <variant>
 
 #include "common/logging.h"
@@ -194,27 +193,25 @@ ScratchPipeController::slotOf(uint64_t id) const
     return slot;
 }
 
+ScratchPipeController::Accessor::Accessor(
+    const ScratchPipeController &controller, cache::SlotArray &slots)
+    : controller_(controller), slots_(slots)
+{
+    panicIf(slots.numSlots() != controller.config().num_slots,
+            "accessor over ", slots.numSlots(), " slots for a ",
+            controller.config().num_slots, "-slot scratchpad");
+}
+
 float *
 ScratchPipeController::Accessor::row(uint64_t id)
 {
-    return controller_.storage_.slot(controller_.slotOf(id));
+    return slots_.slot(controller_.slotOf(id));
 }
 
 const float *
 ScratchPipeController::Accessor::row(uint64_t id) const
 {
-    return controller_.storage_.slot(controller_.slotOf(id));
-}
-
-void
-ScratchPipeController::flushTo(emb::EmbeddingTable &table) const
-{
-    panicIf(table.dim() != config_.dim,
-            "dimension mismatch flushing scratchpad");
-    index_.forEach([this, &table](uint64_t key, uint32_t slot) {
-        std::memcpy(table.row(key), storage_.slot(slot),
-                    storage_.rowBytes());
-    });
+    return slots_.slot(controller_.slotOf(id));
 }
 
 void

@@ -20,6 +20,8 @@
  * The controller manipulates IDs and slots only; actual float movement
  * is the system layer's job (functional runs) or skipped entirely
  * (timing runs). This split keeps Algorithm 1 testable in isolation.
+ * Its Accessor resolves IDs into Storage or any other slot-aligned
+ * array, and forEachResident() lists the resident rows for a drain.
  * The host answers Hit-Map queries from a cache::RowIndex; the GPU
  * Hit-Map itself is charged by formula (metadataBytes()).
  *
@@ -179,37 +181,33 @@ class ScratchPipeController
     const ControllerStats &stats() const { return stats_; }
 
     /**
-     * Row accessor resolving resident IDs to Storage rows: the [Train]
+     * Row accessor resolving resident IDs to their rows of a
+     * slot-aligned array: Storage, or any array that keeps one row per
+     * slot beside it (e.g. per-row optimizer state). The [Train]
      * stage's gather/scatter target. Panics on non-resident IDs --
      * i.e. if the "always hits" guarantee were ever violated.
      */
     class Accessor : public emb::RowAccessor
     {
       public:
-        explicit Accessor(ScratchPipeController &controller)
-            : controller_(controller)
-        {
-        }
+        /** `slots` must have one row per controller slot. */
+        Accessor(const ScratchPipeController &controller,
+                 cache::SlotArray &slots);
         float *row(uint64_t id) override;
         const float *row(uint64_t id) const override;
-        size_t dim() const override { return controller_.config_.dim; }
+        size_t dim() const override { return slots_.dim(); }
 
       private:
-        ScratchPipeController &controller_;
+        const ScratchPipeController &controller_;
+        cache::SlotArray &slots_;
     };
 
-    Accessor accessor() { return Accessor(*this); }
+    /** Accessor over Storage. */
+    Accessor accessor() { return Accessor(*this, storage_); }
 
     /**
-     * Write every resident (dirty) row back into a dense CPU table:
-     * end-of-training drain, needed before comparing table contents.
-     */
-    void flushTo(emb::EmbeddingTable &table) const;
-
-    /**
-     * Visit every resident (key, slot) pair. Lets satellite state
-     * (e.g. per-row optimizer accumulators co-located with the
-     * scratchpad) be drained alongside the embedding values.
+     * Visit every resident (key, slot) pair: the end-of-training drain
+     * copies each slot-aligned array's rows back to the CPU tables.
      */
     void forEachResident(
         const std::function<void(uint64_t, uint32_t)> &fn) const;

@@ -4,10 +4,12 @@
 #include <cstring>
 #include <span>
 
+#include "cache/row_index.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/access_stats.h"
 #include "emb/embedding_ops.h"
+#include "sys/plan_fanout.h"
 #include "sys/scratchpipe_sys.h"
 #include "sys/system.h"
 
@@ -178,37 +180,60 @@ FunctionalHybridTrainer::train(const data::TraceDataset &dataset,
 namespace
 {
 
-/** Routes cached IDs to the cache storage, the rest to the table. */
-class SplitAccessor : public emb::RowAccessor
+/**
+ * A table behind its static cache: the cached rows' copies sit in a
+ * slot array, found through a row index, and every other row is the
+ * table's own. Construction copies the cached rows in; drain() copies
+ * them back.
+ */
+class StaticCachedTable : public emb::RowAccessor
 {
   public:
-    SplitAccessor(cache::StaticCache &cache, emb::EmbeddingTable &table)
-        : cache_(cache), cache_accessor_(cache.accessor()), table_(table)
+    /** Slot i holds cached_rows[i]. */
+    StaticCachedTable(emb::EmbeddingTable &table,
+                      std::span<const uint64_t> cached_rows)
+        : table_(table),
+          copies_(static_cast<uint32_t>(cached_rows.size()), table.dim())
     {
+        for (uint32_t slot = 0; slot < cached_rows.size(); ++slot) {
+            index_.insert(cached_rows[slot], slot);
+            std::memcpy(copies_.slot(slot), table.row(cached_rows[slot]),
+                        copies_.rowBytes());
+        }
     }
 
     float *
     row(uint64_t id) override
     {
-        if (cache_.slotFor(id) != cache::RowIndex::kNotFound)
-            return cache_accessor_.row(id);
-        return table_.row(id);
+        const uint32_t slot = index_.find(id);
+        return slot == cache::RowIndex::kNotFound ? table_.row(id)
+                                                  : copies_.slot(slot);
     }
 
     const float *
     row(uint64_t id) const override
     {
-        if (cache_.slotFor(id) != cache::RowIndex::kNotFound)
-            return cache_accessor_.row(id);
-        return table_.row(id);
+        const uint32_t slot = index_.find(id);
+        return slot == cache::RowIndex::kNotFound ? table_.row(id)
+                                                  : copies_.slot(slot);
     }
 
     size_t dim() const override { return table_.dim(); }
 
+    /** Write every cached copy back into the table. */
+    void
+    drain()
+    {
+        index_.forEach([this](uint64_t id, uint32_t slot) {
+            std::memcpy(table_.row(id), copies_.slot(slot),
+                        copies_.rowBytes());
+        });
+    }
+
   private:
-    cache::StaticCache &cache_;
-    cache::StaticCache::Accessor cache_accessor_;
     emb::EmbeddingTable &table_;
+    cache::RowIndex index_;
+    cache::SlotArray copies_;
 };
 
 } // namespace
@@ -239,51 +264,29 @@ FunctionalStaticCacheTrainer::train(const data::TraceDataset &dataset,
     for (uint64_t i = 0; i < iterations; ++i)
         stats.addBatch(dataset.batch(i));
 
-    std::vector<cache::StaticCache> caches;
-    caches.reserve(config_.trace.num_tables);
+    std::vector<StaticCachedTable> cached;
+    cached.reserve(config_.trace.num_tables);
+    std::vector<emb::RowAccessor *> accessors;
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
         auto ranked = stats.rankedRows(t);
         ranked.resize(std::min<size_t>(ranked.size(), cached_rows_));
-        caches.emplace_back(ranked, config_.embedding_dim);
-        caches.back().fillFrom(tables_[t]);
+        accessors.push_back(&cached.emplace_back(tables_[t], ranked));
     }
-
-    std::vector<SplitAccessor> split;
-    split.reserve(config_.trace.num_tables);
-    for (size_t t = 0; t < config_.trace.num_tables; ++t)
-        split.emplace_back(caches[t], tables_[t]);
-    std::vector<emb::RowAccessor *> accessors;
-    for (auto &accessor : split)
-        accessors.push_back(&accessor);
 
     FunctionalRunResult result;
     for (uint64_t i = 0; i < iterations; ++i) {
-        const auto &batch = dataset.batch(i);
-        for (size_t t = 0; t < batch.numTables(); ++t) {
-            const auto query = caches[t].query(batch.ids(t));
-            hits_ += query.hits;
-            lookups_ += query.hits + query.misses;
-        }
         double accuracy = 0.0;
         const double loss = functionalTrainStep(
-            model_, accessors, batch, dataset.denseFeatures(i),
+            model_, accessors, dataset.batch(i), dataset.denseFeatures(i),
             dataset.labels(i), config_.learning_rate, &accuracy);
         result.losses.push_back(loss);
         result.accuracies.push_back(accuracy);
     }
 
-    // Drain dirty cache contents so tables_ holds the full model.
-    for (size_t t = 0; t < caches.size(); ++t)
-        caches[t].flushTo(tables_[t]);
+    // Drain the cached copies so tables_ holds the full model.
+    for (auto &table : cached)
+        table.drain();
     return result;
-}
-
-double
-FunctionalStaticCacheTrainer::hitRate() const
-{
-    return lookups_ == 0 ? 0.0
-                         : static_cast<double>(hits_) /
-                               static_cast<double>(lookups_);
 }
 
 // ---------------------------------------------------------------------
@@ -303,44 +306,39 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
     // Warm start pre-fills phantom Storage only: dense Storage would
     // hold no values for the pre-resident rows.
     options_.warm_start = false;
-    controllers_ = makeScratchpadControllers(
-        config_, options_, cache::SlotArray::Backing::Dense);
-    if (config_.optimizer == Optimizer::AdaGrad) {
-        // Optimizer state is slot-aligned with the scratchpad: the
-        // accumulator of a resident row lives at the row's slot.
-        for (const auto &controller : controllers_)
-            state_storage_.emplace_back(controller.config().num_slots,
-                                        controller.config().dim,
-                                        cache::SlotArray::Backing::Dense);
+    for (size_t t = 0; t < config_.trace.num_tables; ++t) {
+        controllers_.push_back(makeScratchpadController(
+            config_, options_, cache::SlotArray::Backing::Dense, t));
+        // The accumulator of a resident row lives at the row's slot.
+        if (config_.optimizer == Optimizer::AdaGrad)
+            state_storage_.emplace_back(
+                controllers_.back().config().num_slots,
+                config_.embedding_dim, cache::SlotArray::Backing::Dense);
     }
+}
+
+std::vector<FunctionalScratchPipeTrainer::RowPlane>
+FunctionalScratchPipeTrainer::rowPlanes(size_t t)
+{
+    std::vector<RowPlane> planes{{&tables_[t], &controllers_[t].storage()}};
+    if (!state_storage_.empty())
+        planes.push_back({&state_tables_[t], &state_storage_[t]});
+    return planes;
 }
 
 void
 FunctionalScratchPipeTrainer::planBatch(const data::TraceDataset &dataset,
                                         uint64_t index)
 {
-    InFlight staged;
-    staged.batch_index = index;
-    staged.per_table.resize(config_.trace.num_tables);
-    const auto &mini = dataset.batch(index);
+    std::vector<StagedTable> staged(config_.trace.num_tables);
 
     // One controller per table: the [Plan] stages are independent and
-    // fan out across the shared pool (table t writes per_table[t]
-    // only).
-    const uint32_t fw = options_.pipelined ? options_.future_window : 0;
+    // fan out across the shared pool (table t writes staged[t] only).
     common::parallelFor(
-        config_.trace.num_tables,
-        [this, &staged, &dataset, &mini, index, fw](size_t t) {
+        config_.trace.num_tables, [this, &staged, &dataset, index](size_t t) {
             std::vector<std::span<const uint64_t>> futures;
-            futures.reserve(fw);
-            for (uint32_t d = 1; d <= fw; ++d) {
-                const auto *next = dataset.lookAhead(index, d);
-                if (next == nullptr)
-                    break;
-                futures.emplace_back(next->ids(t));
-            }
-            staged.per_table[t].plan =
-                controllers_[t].plan(mini.ids(t), futures);
+            staged[t].plan =
+                planTableBatch(controllers_[t], dataset, index, t, futures);
         });
     inflight_.emplace(index, std::move(staged));
 }
@@ -353,43 +351,31 @@ FunctionalScratchPipeTrainer::collectBatch(uint64_t index)
     const size_t dim = config_.embedding_dim;
 
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
-        auto &staged = it->second.per_table[t];
+        auto &staged = it->second[t];
         const auto &plan = staged.plan;
-
-        // CPU side: gather the missed rows into the staging buffer.
-        const bool adagrad = config_.optimizer == Optimizer::AdaGrad;
-        staged.fill_values.resize(plan.fills.size(), dim);
-        if (adagrad)
-            staged.fill_state.resize(plan.fills.size(), dim);
-        for (size_t f = 0; f < plan.fills.size(); ++f) {
-            std::memcpy(staged.fill_values.row(f),
-                        tables_[t].row(plan.fills[f].id),
-                        dim * sizeof(float));
-            if (adagrad) {
-                std::memcpy(staged.fill_state.row(f),
-                            state_tables_[t].row(plan.fills[f].id),
+        const auto planes = rowPlanes(t);
+        staged.fills.resize(planes.size());
+        staged.evictions.resize(planes.size());
+        for (size_t p = 0; p < planes.size(); ++p) {
+            // CPU side: gather the missed rows into the staging buffer.
+            staged.fills[p].resize(plan.fills.size(), dim);
+            for (size_t f = 0; f < plan.fills.size(); ++f)
+                std::memcpy(staged.fills[p].row(f),
+                            planes[p].table->row(plan.fills[f].id),
                             dim * sizeof(float));
-            }
-            if (auditing_)
-                auditor_.collectReadsCpuRow(t, plan.fills[f].id);
+            // GPU side: read the victims' dirty rows out of the
+            // scratchpad.
+            staged.evictions[p].resize(plan.evictions.size(), dim);
+            for (size_t e = 0; e < plan.evictions.size(); ++e)
+                std::memcpy(staged.evictions[p].row(e),
+                            planes[p].slots->slot(plan.evictions[e].slot),
+                            dim * sizeof(float));
         }
-
-        // GPU side: read the victims' dirty values out of Storage.
-        staged.evict_values.resize(plan.evictions.size(), dim);
-        if (adagrad)
-            staged.evict_state.resize(plan.evictions.size(), dim);
-        for (size_t e = 0; e < plan.evictions.size(); ++e) {
-            std::memcpy(
-                staged.evict_values.row(e),
-                controllers_[t].storage().slot(plan.evictions[e].slot),
-                dim * sizeof(float));
-            if (adagrad) {
-                std::memcpy(staged.evict_state.row(e),
-                            state_storage_[t].slot(plan.evictions[e].slot),
-                            dim * sizeof(float));
-            }
-            if (auditing_)
-                auditor_.collectReadsVictimSlot(t, plan.evictions[e].slot);
+        if (auditing_) {
+            for (const core::FillOp &fill : plan.fills)
+                auditor_.collectReadsCpuRow(t, fill.id);
+            for (const core::EvictOp &evict : plan.evictions)
+                auditor_.collectReadsVictimSlot(t, evict.slot);
         }
     }
 }
@@ -402,67 +388,28 @@ FunctionalScratchPipeTrainer::insertBatch(uint64_t index)
     const size_t dim = config_.embedding_dim;
 
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
-        auto &staged = it->second.per_table[t];
+        auto &staged = it->second[t];
         const auto &plan = staged.plan;
-
-        // Fills land in Storage (values + optimizer state).
-        const bool adagrad = config_.optimizer == Optimizer::AdaGrad;
-        for (size_t f = 0; f < plan.fills.size(); ++f) {
-            std::memcpy(controllers_[t].storage().slot(plan.fills[f].slot),
-                        staged.fill_values.row(f), dim * sizeof(float));
-            if (adagrad) {
-                std::memcpy(state_storage_[t].slot(plan.fills[f].slot),
-                            staged.fill_state.row(f),
+        const auto planes = rowPlanes(t);
+        for (size_t p = 0; p < planes.size(); ++p) {
+            // Fills land in the scratchpad; evicted (dirty) rows
+            // return to the CPU tables.
+            for (size_t f = 0; f < plan.fills.size(); ++f)
+                std::memcpy(planes[p].slots->slot(plan.fills[f].slot),
+                            staged.fills[p].row(f), dim * sizeof(float));
+            for (size_t e = 0; e < plan.evictions.size(); ++e)
+                std::memcpy(planes[p].table->row(plan.evictions[e].id),
+                            staged.evictions[p].row(e),
                             dim * sizeof(float));
-            }
-            if (auditing_)
-                auditor_.insertWritesSlot(t, plan.fills[f].slot);
         }
-        // Evicted (dirty) rows return to the CPU tables.
-        for (size_t e = 0; e < plan.evictions.size(); ++e) {
-            std::memcpy(tables_[t].row(plan.evictions[e].id),
-                        staged.evict_values.row(e), dim * sizeof(float));
-            if (adagrad) {
-                std::memcpy(state_tables_[t].row(plan.evictions[e].id),
-                            staged.evict_state.row(e),
-                            dim * sizeof(float));
-            }
-            if (auditing_)
-                auditor_.insertWritesCpuRow(t, plan.evictions[e].id);
+        if (auditing_) {
+            for (const core::FillOp &fill : plan.fills)
+                auditor_.insertWritesSlot(t, fill.slot);
+            for (const core::EvictOp &evict : plan.evictions)
+                auditor_.insertWritesCpuRow(t, evict.id);
         }
     }
 }
-
-namespace
-{
-
-/** Resolves resident IDs to their slot-aligned optimizer state. */
-class SlotStateAccessor : public emb::RowAccessor
-{
-  public:
-    SlotStateAccessor(core::ScratchPipeController &controller,
-                      cache::SlotArray &storage)
-        : controller_(controller), storage_(storage)
-    {
-    }
-    float *
-    row(uint64_t id) override
-    {
-        return storage_.slot(controller_.slotOf(id));
-    }
-    const float *
-    row(uint64_t id) const override
-    {
-        return storage_.slot(controller_.slotOf(id));
-    }
-    size_t dim() const override { return storage_.dim(); }
-
-  private:
-    core::ScratchPipeController &controller_;
-    cache::SlotArray &storage_;
-};
-
-} // namespace
 
 void
 FunctionalScratchPipeTrainer::trainBatch(const data::TraceDataset &dataset,
@@ -471,25 +418,21 @@ FunctionalScratchPipeTrainer::trainBatch(const data::TraceDataset &dataset,
 {
     const auto &mini = dataset.batch(index);
 
-    std::vector<core::ScratchPipeController::Accessor> table_accessors;
-    table_accessors.reserve(controllers_.size());
-    for (auto &controller : controllers_)
-        table_accessors.push_back(controller.accessor());
-    std::vector<emb::RowAccessor *> accessors;
-    for (auto &accessor : table_accessors)
-        accessors.push_back(&accessor);
-
-    const bool adagrad = config_.optimizer == Optimizer::AdaGrad;
-    std::vector<SlotStateAccessor> state_slot_accessors;
-    std::vector<emb::RowAccessor *> state_accessors;
-    if (adagrad) {
-        state_slot_accessors.reserve(controllers_.size());
-        for (size_t t = 0; t < controllers_.size(); ++t)
-            state_slot_accessors.emplace_back(controllers_[t],
-                                              state_storage_[t]);
-        for (auto &accessor : state_slot_accessors)
-            state_accessors.push_back(&accessor);
+    // Each ID resolves through its table's controller to its Storage
+    // slot and, under AdaGrad, to the same slot of the state plane.
+    std::vector<core::ScratchPipeController::Accessor> value_slots;
+    std::vector<core::ScratchPipeController::Accessor> state_slots;
+    for (size_t t = 0; t < controllers_.size(); ++t) {
+        value_slots.push_back(controllers_[t].accessor());
+        if (!state_storage_.empty())
+            state_slots.emplace_back(controllers_[t], state_storage_[t]);
     }
+    std::vector<emb::RowAccessor *> accessors;
+    for (auto &accessor : value_slots)
+        accessors.push_back(&accessor);
+    std::vector<emb::RowAccessor *> state_accessors;
+    for (auto &accessor : state_slots)
+        state_accessors.push_back(&accessor);
 
     if (auditing_) {
         for (size_t t = 0; t < mini.numTables(); ++t) {
@@ -502,7 +445,8 @@ FunctionalScratchPipeTrainer::trainBatch(const data::TraceDataset &dataset,
     const double loss = functionalTrainStep(
         model_, accessors, mini, dataset.denseFeatures(index),
         dataset.labels(index), config_.learning_rate, &accuracy,
-        adagrad ? &state_accessors : nullptr, config_.adagrad_eps);
+        state_accessors.empty() ? nullptr : &state_accessors,
+        config_.adagrad_eps);
     result.losses.push_back(loss);
     result.accuracies.push_back(accuracy);
 
@@ -555,15 +499,14 @@ FunctionalScratchPipeTrainer::train(const data::TraceDataset &dataset,
     // Drain the scratchpad so tables_ is the complete trained model,
     // optimizer state included.
     for (size_t t = 0; t < controllers_.size(); ++t) {
-        controllers_[t].flushTo(tables_[t]);
-        if (config_.optimizer == Optimizer::AdaGrad) {
-            controllers_[t].forEachResident(
-                [this, t](uint64_t key, uint32_t slot) {
-                    std::memcpy(state_tables_[t].row(key),
-                                state_storage_[t].slot(slot),
-                                state_storage_[t].rowBytes());
-                });
-        }
+        const auto planes = rowPlanes(t);
+        controllers_[t].forEachResident(
+            [&planes](uint64_t key, uint32_t slot) {
+                for (const RowPlane &plane : planes)
+                    std::memcpy(plane.table->row(key),
+                                plane.slots->slot(slot),
+                                plane.slots->rowBytes());
+            });
     }
     return result;
 }

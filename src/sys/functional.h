@@ -14,6 +14,15 @@
  *                                  auditing, and the always-hit
  *                                  scratchpad (Fig 10/11);
  *
+ * The caching trainers move a row's data one way. The static-cache
+ * trainer keeps its cached rows' copies at slots of a cache::SlotArray,
+ * found through a cache::RowIndex, and reads every other row from the
+ * table. The ScratchPipe trainer treats a row as slot-aligned planes
+ * -- the embedding values, plus the AdaGrad accumulators when the
+ * optimizer keeps them -- each a CPU table plus a scratchpad array;
+ * [Collect], [Insert] and the end-of-run drain run one loop over the
+ * planes, so optimizer state travels exactly as the values do.
+ *
  * All three use the *same* kernels in the same accumulation order, so
  * the algorithmic-equivalence property holds bit-for-bit: after N
  * iterations the embedding tables and MLP weights of every trainer are
@@ -27,8 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/replacement.h"
-#include "cache/static_cache.h"
+#include "cache/slot_array.h"
 #include "core/controller.h"
 #include "core/hazard_audit.h"
 #include "data/dataset.h"
@@ -115,7 +123,8 @@ class FunctionalStaticCacheTrainer
 
     /**
      * Profiles the first `iterations` batches to build the top-N
-     * ranking, trains, then flushes cache contents back to the tables.
+     * ranking, copies those rows into the cache, trains, then copies
+     * them back to the tables.
      */
     FunctionalRunResult train(const data::TraceDataset &dataset,
                               uint64_t iterations);
@@ -126,16 +135,11 @@ class FunctionalStaticCacheTrainer
     }
     const nn::DlrmModel &model() const { return model_; }
 
-    /** ID-level hit rate observed while training. */
-    double hitRate() const;
-
   private:
     ModelConfig config_;
     uint64_t cached_rows_ = 0;
     std::vector<emb::EmbeddingTable> tables_;
     nn::DlrmModel model_;
-    uint64_t hits_ = 0;
-    uint64_t lookups_ = 0;
 };
 
 /** The six-stage pipelined ScratchPipe trainer. */
@@ -178,21 +182,26 @@ class FunctionalScratchPipeTrainer
     core::ControllerStats aggregateStats() const;
 
   private:
+    /** One slot-aligned plane of a table's rows: every row's CPU copy,
+     *  and the scratchpad copy of each resident row at its slot. */
+    struct RowPlane
+    {
+        emb::EmbeddingTable *table;
+        cache::SlotArray *slots;
+    };
     /** Per-table staged data of one in-flight mini-batch. */
     struct StagedTable
     {
         core::PlanResult plan;
-        tensor::Matrix fill_values;
-        tensor::Matrix evict_values;
-        // Optimizer state travels with the rows (AdaGrad only).
-        tensor::Matrix fill_state;
-        tensor::Matrix evict_state;
+        /** Per plane: the missed rows read from the CPU table, and the
+         *  victims' rows read out of the scratchpad. */
+        std::vector<tensor::Matrix> fills;
+        std::vector<tensor::Matrix> evictions;
     };
-    struct InFlight
-    {
-        uint64_t batch_index = 0;
-        std::vector<StagedTable> per_table;
-    };
+
+    /** Table `t`'s row planes: the values, then the AdaGrad
+     *  accumulators when the optimizer keeps them. */
+    std::vector<RowPlane> rowPlanes(size_t t);
 
     void planBatch(const data::TraceDataset &dataset, uint64_t index);
     void collectBatch(uint64_t index);
@@ -206,12 +215,13 @@ class FunctionalScratchPipeTrainer
     std::vector<emb::EmbeddingTable> state_tables_;
     nn::DlrmModel model_;
     std::vector<core::ScratchPipeController> controllers_;
-    // Scratchpad-resident optimizer state, slot-aligned with each
-    // controller's Storage array (AdaGrad only).
+    // The state plane's scratchpad half: one array per table,
+    // slot-aligned with the controller's Storage (AdaGrad only).
     std::vector<cache::SlotArray> state_storage_;
     core::HazardAuditor auditor_;
     bool auditing_ = false;
-    std::unordered_map<uint64_t, InFlight> inflight_;
+    // Staged data of each in-flight batch, per table, by batch index.
+    std::unordered_map<uint64_t, std::vector<StagedTable>> inflight_;
 };
 
 } // namespace sp::sys

@@ -1,6 +1,11 @@
 /**
  * @file
- * The per-table [Plan] stream shared by the timing systems.
+ * The [Plan] step and the per-table [Plan] stream.
+ *
+ * planTableBatch() is the one [Plan] step: it hands a batch's IDs to
+ * its table's controller with the future window the controller's
+ * config asks for. The functional trainer, the Section VI-D overhead
+ * figure and planTableStream() all plan through it.
  *
  * Each table has its own controller, and table t's plans depend only
  * on table t's earlier plans. So a table streams through every batch
@@ -36,10 +41,23 @@ struct TablePlanOutcome
 };
 
 /**
+ * Plan batch `index` of table `table` on `controller`, with the
+ * table's IDs of the next future_window batches that exist (the
+ * controller's window, nearest first) as its future window. `futures`
+ * is the caller's scratch, cleared and refilled here: reusing it keeps
+ * a stream from allocating per plan. Returns controller.plan()'s
+ * result.
+ */
+const core::PlanResult &
+planTableBatch(core::ScratchPipeController &controller,
+               const data::TraceDataset &dataset, uint64_t index,
+               size_t table, std::vector<std::span<const uint64_t>> &futures);
+
+/**
  * Plan batches 0 .. outcomes.size() / num_tables - 1 of table `table`
- * on `controller`, in batch order, each with its future window
- * (the controller's future_window batches) from dataset.lookAhead,
- * and write batch i's outcome to outcomes[i * num_tables + table].
+ * on `controller` in batch order, each through planTableBatch with one
+ * reused futures vector, and write batch i's outcome to
+ * outcomes[i * num_tables + table].
  */
 void planTableStream(core::ScratchPipeController &controller,
                      const data::TraceDataset &dataset, size_t table,

@@ -58,19 +58,6 @@ makeScratchpadController(const ModelConfig &model,
     return core::ScratchPipeController(cc);
 }
 
-std::vector<core::ScratchPipeController>
-makeScratchpadControllers(const ModelConfig &model,
-                          const ScratchPipeOptions &options,
-                          cache::SlotArray::Backing backing)
-{
-    std::vector<core::ScratchPipeController> controllers;
-    controllers.reserve(model.trace.num_tables);
-    for (size_t t = 0; t < model.trace.num_tables; ++t)
-        controllers.push_back(
-            makeScratchpadController(model, options, backing, t));
-    return controllers;
-}
-
 ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
                                      const sim::HardwareConfig &hardware,
                                      const ScratchPipeOptions &options)

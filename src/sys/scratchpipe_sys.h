@@ -116,13 +116,6 @@ makeScratchpadController(const ModelConfig &model,
                          const ScratchPipeOptions &options,
                          cache::SlotArray::Backing backing, size_t table);
 
-/** makeScratchpadController() for every table of `model`, for callers
- *  that keep all of them alive across batches. */
-std::vector<core::ScratchPipeController>
-makeScratchpadControllers(const ModelConfig &model,
-                          const ScratchPipeOptions &options,
-                          cache::SlotArray::Backing backing);
-
 /** Timing model of ScratchPipe / straw-man. */
 class ScratchPipeSystem : public System
 {

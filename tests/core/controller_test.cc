@@ -277,20 +277,25 @@ TEST(Controller, AccessorResolvesResidentRows)
     EXPECT_THROW(accessor.row(999), PanicError);
 }
 
-TEST(Controller, FlushWritesResidentRowsBack)
+TEST(Controller, AccessorResolvesIntoAnySlotAlignedArray)
 {
+    // The functional trainer keeps per-row optimizer state at each
+    // resident row's slot, in an array beside Storage.
     auto config = baseConfig(16);
     config.backing = cache::SlotArray::Backing::Dense;
     ScratchPipeController controller(config);
-    controller.plan(std::vector<uint64_t>{2, 5}, kNoFutures);
-    controller.accessor().row(2)[1] = 7.0f;
-    controller.accessor().row(5)[3] = -3.0f;
+    controller.plan(std::vector<uint64_t>{3}, kNoFutures);
 
-    emb::EmbeddingTable table(10, 4);
-    controller.flushTo(table);
-    EXPECT_EQ(table.row(2)[1], 7.0f);
-    EXPECT_EQ(table.row(5)[3], -3.0f);
-    EXPECT_EQ(table.row(0)[0], 0.0f);
+    cache::SlotArray state(16, 4);
+    ScratchPipeController::Accessor accessor(controller, state);
+    accessor.row(3)[0] = 5.0f;
+    EXPECT_EQ(state.slot(controller.slotOf(3))[0], 5.0f);
+    EXPECT_EQ(controller.storage().slot(controller.slotOf(3))[0], 0.0f);
+    EXPECT_THROW(accessor.row(999), PanicError);
+
+    cache::SlotArray misaligned(8, 4);
+    EXPECT_THROW(ScratchPipeController::Accessor(controller, misaligned),
+                 PanicError);
 }
 
 TEST(Controller, KeyOfSlotTracksAssignment)

@@ -4,7 +4,7 @@
  * reference.
  *
  * planTableStream runs one table through every batch on its own pool
- * task. Over fresh makeScratchpadControllers() controllers at pool
+ * task. Over fresh makeScratchpadController() controllers at pool
  * width 4, every (batch, table) outcome must equal the one a
  * batch-major serial loop written here produces from controllers it
  * configures itself. That pins the stream's futures and batch order,
@@ -124,9 +124,11 @@ TEST(PlanStream, EveryCellMatchesABatchMajorSerialLoop)
                 options.policy = policy;
                 options.warm_start = warm;
                 options.future_window = future;
-                std::vector<core::ScratchPipeController> controllers =
-                    makeScratchpadControllers(
-                        model, options, cache::SlotArray::Backing::Phantom);
+                std::vector<core::ScratchPipeController> controllers;
+                for (size_t t = 0; t < tables; ++t)
+                    controllers.push_back(makeScratchpadController(
+                        model, options, cache::SlotArray::Backing::Phantom,
+                        t));
                 std::vector<TablePlanOutcome> outcomes(kBatches * tables);
                 common::parallelFor(tables, [&](size_t t) {
                     planTableStream(controllers[t], dataset, t, tables,
@@ -156,9 +158,10 @@ TEST(PlanStream, FanoutConsumesEveryBatchInOrder)
     ScratchPipeOptions options;
     options.cache_fraction = 0.05;
     options.policy = cache::PolicyKind::Random;
-    std::vector<core::ScratchPipeController> controllers =
-        makeScratchpadControllers(model, options,
-                                  cache::SlotArray::Backing::Phantom);
+    std::vector<core::ScratchPipeController> controllers;
+    for (size_t t = 0; t < tables; ++t)
+        controllers.push_back(makeScratchpadController(
+            model, options, cache::SlotArray::Backing::Phantom, t));
     std::vector<TablePlanOutcome> consumed;
     uint64_t next = 0;
     PlanFanout fanout(tables, options.future_window);

@@ -46,11 +46,10 @@ using namespace sp;
 namespace
 {
 
-/** Split "a,b:c=d,e" at top-level commas, honouring that spec option
- *  lists also use commas: a new spec starts only when the token before
- *  the comma contains no '=' pending... The unambiguous rule: split at
- *  commas whose next segment, up to the following comma/colon, does
- *  not contain '='. */
+/** Split a --system list such as "hybrid,scratchpipe:policy=lfu,future=2"
+ *  into specs. Spec option lists also use commas, so a comma-separated
+ *  piece continues the current spec when it is a bare "key=value"
+ *  option (an '=' and no ':'), and starts a new spec otherwise. */
 std::vector<std::string>
 splitSpecs(const std::string &text)
 {
@@ -259,7 +258,7 @@ main(int argc, char **argv)
     args.addString("faults", "",
                    "arm the deterministic fault injector, e.g. "
                    "'trace_store.publish.rename:after=1;"
-                   "trace_view.mmap:p=0.5,seed=7' (also via SP_FAULTS)");
+                   "dataset.open.mmap:p=0.5,seed=7' (also via SP_FAULTS)");
     args.addBool("fail-fast",
                  "abort the sweep at the first failing spec (exit 2) "
                  "instead of completing the rest (exit 3)");

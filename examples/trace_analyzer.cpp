@@ -5,7 +5,7 @@
  * The paper's Section III characterisation -- measure a dataset's
  * embedding-access locality, then predict cache behaviour -- as a
  * reusable tool. We record a trace to disk (the binary format any
- * production dataloader could emit), reload it, fit its top-2%
+ * production dataloader could emit), reopen it, fit its top-2%
  * coverage to the nearest locality preset, and report the static
  * cache size needed for a target hit rate versus what ScratchPipe
  * would need.
@@ -42,8 +42,8 @@ main()
         std::printf("recorded 30 mini-batches to %s\n", path.c_str());
     }
 
-    // 2. Reload and characterise.
-    const data::TraceDataset trace = data::TraceDataset::load(path);
+    // 2. Reopen and characterise.
+    const data::TraceDataset trace = data::TraceDataset::open(path);
     data::AccessStats stats(trace.config().num_tables,
                             trace.config().rows_per_table);
     stats.addDataset(trace);

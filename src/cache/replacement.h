@@ -53,7 +53,7 @@ class LruPolicy
 {
   public:
     /** Slot 0 starts most recently used and slot n-1 least, so
-     *  untouched slots are evicted first, in ascending slot order. */
+     *  untouched slots are evicted first, from slot n-1 down to 0. */
     explicit LruPolicy(uint32_t num_slots);
 
     PolicyKind kind() const { return PolicyKind::Lru; }

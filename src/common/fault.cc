@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/mix.h"
 #include "common/spec_number.h"
 
 namespace sp::common::fault
@@ -49,17 +50,6 @@ engine()
 {
     static Engine instance;
     return instance;
-}
-
-/** splitmix64: tiny, seedable, and plenty for Bernoulli draws. */
-uint64_t
-splitmix64(uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 double
@@ -182,11 +172,11 @@ const std::vector<SiteInfo> &
 sites()
 {
     static const std::vector<SiteInfo> registry = {
-        {"dataset.load.read",
-         "the read of the file throws StatusError; TraceStore treats "
-         "the entry as a miss and regenerates"},
+        {"dataset.open.mmap",
+         "open throws StatusError(IoError); TraceStore treats the "
+         "entry as a miss and regenerates"},
         {"dataset.replay.open",
-         "replay throws StatusError (NotFound/Truncated/Corrupt); the "
+         "ExperimentRunner's replay open throws StatusError; the "
          "driver reports the unusable replay file and exits via the "
          "usage-error path instead of simulating a partial stream"},
         {"dataset.save.write",
@@ -210,9 +200,6 @@ sites()
          "temp file is unlinked and the run degrades to uncached"},
         {"trace_store.publish.save",
          "the temp file is unlinked; the run degrades to uncached"},
-        {"trace_view.mmap",
-         "open throws StatusError(IoError); TraceStore treats the "
-         "entry as a miss and regenerates"},
     };
     return registry;
 }

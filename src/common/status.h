@@ -109,8 +109,8 @@ class [[nodiscard]] Status
 };
 
 /**
- * Exception form of a classified failure, thrown by the loads
- * (TraceDataset::load, TraceView::open, ...). Derives FatalError so
+ * Exception form of a classified failure, thrown by the trace loads
+ * (TraceDataset::open, ...). Derives FatalError so
  * every `catch (const FatalError &)` recovery site keeps working while
  * code that degrades catches StatusError and reads the taxonomy
  * instead of parsing message strings.

@@ -39,7 +39,6 @@ ThreadPool::enqueue(std::function<void()> task)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         panicIf(stop_, "enqueue on a stopping ThreadPool");
-        // splint:allow(hot-path-transitive-alloc): dispatch-time queue growth, bounded by the helper count
         queue_.push_back(std::move(task));
     }
     wake_.notify_one();
@@ -101,10 +100,8 @@ struct ForState
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
-            // splint:allow(hot-path-transitive-alloc): std::atomic::load, not TraceDataset::load -- severs the false edge
             if (!has_error.load(std::memory_order_relaxed)) {
                 try {
-                    // splint:allow(hot-path-transitive-alloc): the chaos contract plants a site in every pooled task
                     SP_FAULT_POINT("thread_pool.task");
                     fn(i);
                 } catch (...) {
@@ -128,7 +125,6 @@ struct ForState
         drain();
         std::unique_lock<std::mutex> lock(mutex);
         finished.wait(lock, [this] {
-            // splint:allow(hot-path-transitive-alloc): std::atomic::load, not TraceDataset::load -- severs the false edge
             return done.load(std::memory_order_acquire) == n;
         });
         // Phase ordering: the join releases only after every index
@@ -155,14 +151,12 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn,
         // fault) propagates directly; later indices are skipped,
         // exactly as drain() skips them once an error is recorded.
         for (size_t i = 0; i < n; ++i) {
-            // splint:allow(hot-path-transitive-alloc): the chaos contract plants a site in every pooled task
             SP_FAULT_POINT("thread_pool.task");
             fn(i);
         }
         return;
     }
 
-    // splint:allow(hot-path-transitive-alloc): one shared-state allocation per dispatch, amortized over n indices
     auto state = std::make_shared<detail::ForState>();
     state->fn = fn;
     state->n = n;
@@ -214,7 +208,6 @@ ThreadPool::global()
 {
     std::lock_guard<std::mutex> lock(g_global_mutex);
     if (!g_global_pool)
-        // splint:allow(hot-path-transitive-alloc): one-time lazy construction of the global pool
         g_global_pool = std::make_unique<ThreadPool>(defaultThreads());
     return *g_global_pool;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/mix.h"
 
 namespace sp::data
 {
@@ -15,25 +16,8 @@ namespace
 // shaper streams (kStreamChurn/kStreamBurst in workload.cc).
 constexpr uint64_t kStreamArrival = 0xa771;
 
-uint64_t
-mix64(uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return x;
-}
-
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
+using common::mix64;
+using common::splitmix64;
 
 } // namespace
 

@@ -9,12 +9,12 @@
  * uses lookAhead() to build its future window; the baseline systems
  * simply iterate.
  *
- * Datasets can be saved to and loaded from a compact binary format so
+ * Datasets can be saved to a compact binary format and opened again so
  * experiments can be re-run on the exact same trace (trace_format.h).
- * Whatever the source -- the generator, one read of a file (load()) or
- * a file mapping (mapped()) -- the batches are spans into one TraceView
- * holding the file's record layout, shared by every copy of the
- * dataset.
+ * The records come from the generator's buffer or from a read-only
+ * mapping of a saved file (open()); either way they are in the file's
+ * record layout, every batch is a span into them, and every copy of
+ * the dataset shares them.
  */
 
 #ifndef SP_DATA_DATASET_H
@@ -27,7 +27,6 @@
 
 #include "common/status.h"
 #include "data/trace.h"
-#include "data/trace_view.h"
 
 namespace sp::data
 {
@@ -36,16 +35,23 @@ namespace sp::data
 class TraceDataset
 {
   public:
-    /** Generate `num_batches` mini-batches from `config`. */
+    /** Generate `num_batches` mini-batches from `config` on the pool. */
     TraceDataset(const TraceConfig &config, uint64_t num_batches);
 
     /**
-     * Serve the batches of `view`. With `max_batches` != 0 only the
-     * first min(max_batches, view batches) batches are exposed (a
-     * longer cached trace serves any prefix).
+     * Map a file written by saveTo() read-only and serve its batches
+     * in place. The header is fully validated, including an exact
+     * file-size check, and so is every batch served: its index word
+     * must match its position and its IDs must lie below
+     * rows_per_table. With `max_batches` != 0 only the first
+     * min(max_batches, file batches) batches are served (a longer
+     * cached trace serves any prefix). Throws StatusError classifying
+     * the failure: NotFound (no such file), IoError (not a regular
+     * file, or stat/mmap failed), Truncated (shorter than its header
+     * describes), VersionMismatch or Corrupt.
      */
-    explicit TraceDataset(std::shared_ptr<const TraceView> view,
-                          uint64_t max_batches = 0);
+    static TraceDataset open(const std::string &path,
+                             uint64_t max_batches = 0);
 
     const TraceConfig &config() const { return generator_.config(); }
     uint64_t numBatches() const { return batches_.size(); }
@@ -76,38 +82,20 @@ class TraceDataset
      */
     sp::Status saveTo(const std::string &path) const;
 
-    /**
-     * Load a dataset previously written by saveTo() with one read of
-     * the file. With `max_batches` != 0, serve only that prefix.
-     * Throws StatusError classifying the failure (NotFound/Truncated/
-     * Corrupt/VersionMismatch/IoError).
-     */
-    static TraceDataset load(const std::string &path,
-                             uint64_t max_batches = 0);
-
-    /**
-     * load(), but serving batches straight from a file mapping where
-     * the platform supports mmap (see TraceView).
-     */
-    static TraceDataset mapped(const std::string &path,
-                               uint64_t max_batches = 0);
-
-    /**
-     * Replay adapter: ingest an externally recorded trace file whose
-     * embedded config drives the run. Throws StatusError classifying
-     * the failure exactly like mapped().
-     */
-    static TraceDataset replay(const std::string &path,
-                               uint64_t max_batches = 0);
-
-    /** True when batches are served from a file mapping. */
-    bool isMapped() const { return view_->mapped(); }
-
   private:
+    /** An empty dataset over `config`'s generator (open()). */
+    explicit TraceDataset(const TraceConfig &config);
+
+    /** Own `records` and serve `num_batches` records from `first`.
+     *  `path` names the file they were mapped from (empty when
+     *  generated); only a file's IDs are range-checked. */
+    void adopt(std::shared_ptr<const void> records, const uint64_t *first,
+               uint64_t num_batches, const std::string &path);
+
     TraceGenerator generator_;
-    // Owns the records every batch points into; shared so copies of
-    // the dataset share one buffer.
-    std::shared_ptr<const TraceView> view_;
+    // Owns the records every batch points into: the generator's buffer
+    // or a file mapping, unmapped with the last copy of the dataset.
+    std::shared_ptr<const void> records_;
     std::vector<MiniBatch> batches_;
 };
 

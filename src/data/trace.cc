@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/mix.h"
 #include "data/trace_format.h"
 
 namespace sp::data
@@ -19,16 +20,7 @@ constexpr uint64_t kStreamIds = 0x1d5;
 constexpr uint64_t kStreamDense = 0xd3e;
 constexpr uint64_t kStreamLabel = 0x1ab;
 
-uint64_t
-mix64(uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return x;
-}
+using common::mix64;
 
 // --- Field-count tripwire ------------------------------------------
 // fingerprint() and operator== must cover every TraceConfig (and

@@ -81,9 +81,8 @@ struct TraceConfig
  *
  * A batch is a view of its record in the trace layout (trace_format.h):
  * one span over every table's IDs, table after table, inside the
- * buffer a TraceView owns -- a file mapping, a buffer read from the
- * file, or the generator's buffer. Nothing is copied; ids(t) is
- * arithmetic on the span.
+ * records its TraceDataset owns -- a file mapping or the generator's
+ * buffer. Nothing is copied; ids(t) is arithmetic on the span.
  */
 struct MiniBatch
 {

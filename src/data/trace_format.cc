@@ -113,10 +113,7 @@ parseHeader(const unsigned char *data, uint64_t size,
 uint64_t
 headerBytes(const TraceConfig &config)
 {
-    // magic + version + pad, seven geometry u64s, the nine-word
-    // workload block, num_exponents + num_batches, plus the optional
-    // exponent block.
-    return 8 + 4 + 4 + 8 * 18 +
+    return kMinHeaderBytes +
            8 * static_cast<uint64_t>(config.per_table_exponents.size());
 }
 

@@ -2,11 +2,10 @@
  * @file
  * On-disk trace format (internal to src/data).
  *
- * One header codec shared by the reader (trace_view.cc) and the writer
- * (dataset.cc), so the two can never drift. The record layout below is
+ * One header codec shared by TraceDataset::open() and saveTo(), so the
+ * reader and the writer can never drift. The record layout below is
  * also the in-memory form of every trace: a generated trace is a
- * buffer of these records, and a read or mapped file is served in
- * place.
+ * buffer of these records, and an opened file is served in place.
  *
  * Layout (version 3; all fields native-endian, written raw):
  *
@@ -62,6 +61,10 @@ namespace sp::data::format
 
 inline constexpr uint64_t kMagic = 0x5343525450495045ull; // "SCRTPIPE"
 inline constexpr uint32_t kTraceFormatVersion = 3;
+/** Header size without per-table exponents: magic, version and pad,
+ *  seven geometry words, the nine-word workload block, num_exponents
+ *  and num_batches. No shorter file can be a trace. */
+inline constexpr uint64_t kMinHeaderBytes = 8 + 4 + 4 + 8 * 18;
 
 /** Decoded and validated file header. */
 struct TraceFileHeader

@@ -8,14 +8,11 @@
 #include <system_error>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/status.h"
-#include "data/trace_view.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace sp::data
 {
@@ -53,9 +50,7 @@ defaultDirectory()
 }
 
 /** Process- and call-unique temp suffix so concurrent publishers of
- *  one fingerprint never collide before their atomic rename. The
- *  random token keeps processes distinct even where getpid is
- *  unavailable. */
+ *  one fingerprint never collide before their atomic rename. */
 std::string
 tempSuffix()
 {
@@ -68,12 +63,7 @@ tempSuffix()
         (static_cast<uint64_t>(std::random_device{}()) << 32) ^
         // splint:allow(no-nondeterminism): temp-file naming only
         std::random_device{}();
-#if defined(__unix__) || defined(__APPLE__)
-    const uint64_t pid = static_cast<uint64_t>(::getpid());
-#else
-    const uint64_t pid = token & 0xffff;
-#endif
-    return ".tmp." + std::to_string(pid) + "." +
+    return ".tmp." + std::to_string(::getpid()) + "." +
            std::to_string(token % 1000000) + "." +
            std::to_string(sequence.fetch_add(1));
 }
@@ -125,7 +115,7 @@ entryCovers(const TraceConfig &config, uint64_t num_batches,
             const std::string &path)
 {
     try {
-        const TraceDataset entry(TraceView::open(path), num_batches);
+        const TraceDataset entry = TraceDataset::open(path, num_batches);
         return entry.config() == config &&
                entry.numBatches() >= num_batches;
     } catch (const FatalError &) {
@@ -139,8 +129,7 @@ TraceStore::TraceStore() : TraceStore(Options{}) {}
 
 TraceStore::TraceStore(const Options &options)
     : directory_(options.directory.empty() ? defaultDirectory()
-                                           : options.directory),
-      use_mmap_(options.use_mmap)
+                                           : options.directory)
 {
 }
 
@@ -161,8 +150,7 @@ TraceStore::loadEntry(const TraceConfig &config, uint64_t num_batches,
         return std::nullopt;
     try {
         SP_FAULT_POINT("trace_store.load");
-        TraceDataset dataset(TraceView::open(path, use_mmap_),
-                             num_batches);
+        TraceDataset dataset = TraceDataset::open(path, num_batches);
         // Poison guard: the fingerprint addressed the file, but the
         // *full* config must match field-by-field -- a hash collision
         // or a stale hand-edited entry must read as a miss, never as
@@ -267,7 +255,6 @@ TraceStore::acquire(const TraceConfig &config, uint64_t num_batches,
         if (info != nullptr) {
             *info = AcquireInfo();
             info->cache_hit = true;
-            info->mapped = cached->isMapped();
         }
         return std::move(*cached);
     }

@@ -8,8 +8,7 @@
  * under a cache directory (SP_TRACE_CACHE, default `.sp-trace-cache/`)
  * so the first driver pays generation once and every later run --
  * any process, any driver -- warm-starts with an mmap plus header
- * validation (TraceView), falling back to one read of the file where
- * mmap is unavailable.
+ * validation (TraceDataset::open).
  *
  * Guarantees:
  *  - Atomic publication: entries are written to a temp file and
@@ -54,8 +53,6 @@ class TraceStore
         /** Cache directory; empty resolves SP_TRACE_CACHE, then the
          *  `.sp-trace-cache` default. */
         std::string directory;
-        /** Serve hits through mmap when the platform supports it. */
-        bool use_mmap = true;
     };
 
     /** How one acquire() was satisfied (logging, benches, tests). */
@@ -63,8 +60,6 @@ class TraceStore
     {
         /** Served from an existing valid entry. */
         bool cache_hit = false;
-        /** Batches are mmap-backed (zero-copy). */
-        bool mapped = false;
         /** This call generated and (re)published the entry. */
         bool published = false;
         /** Why an existing entry was rejected (ok on a hit, or when
@@ -116,7 +111,6 @@ class TraceStore
                        const std::string &path) const;
 
     std::string directory_;
-    bool use_mmap_ = true;
 };
 
 } // namespace sp::data

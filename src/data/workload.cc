@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/mix.h"
 #include "common/spec_number.h"
 
 namespace sp::data
@@ -19,16 +20,7 @@ namespace
 constexpr uint64_t kStreamChurn = 0xc4a2;
 constexpr uint64_t kStreamBurst = 0xb0b5;
 
-uint64_t
-mix64(uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return x;
-}
+using common::mix64;
 
 /** Triangle wave in [-1, 1] with half-period `period` batches. */
 double

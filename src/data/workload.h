@@ -27,7 +27,7 @@
  * entirely and reproduces the classic generator stream byte for byte.
  *
  * WorkloadSpec adds the replay alternative: instead of generating,
- * ingest a previously recorded trace file (see trace_view.h) and run
+ * open a previously recorded trace file (TraceDataset::open) and run
  * it through the same systems, benches and harnesses.
  */
 

@@ -94,7 +94,7 @@ void adagradScatter(RowAccessor &table, RowAccessor &state,
                     float eps);
 
 /**
- * Number of distinct IDs in `ids` (timing-mode helper), counted in one
+ * Number of distinct IDs in `ids` (timing models), counted in one
  * pass that sets each ID's bit in `seen`, a caller-owned bitmap over
  * the row range [0, rows).
  *
@@ -107,7 +107,8 @@ void adagradScatter(RowAccessor &table, RowAccessor &state,
 size_t countUnique(std::span<const uint64_t> ids, uint64_t rows,
                    std::vector<uint64_t> &seen);
 
-/** Distinct IDs of `ids`, ascending (timing-mode helper). */
+/** Distinct IDs of `ids`, ascending (the functional trainer's hazard
+ *  audit). */
 std::vector<uint64_t> uniqueIds(std::span<const uint64_t> ids);
 
 } // namespace sp::emb

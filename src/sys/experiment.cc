@@ -33,8 +33,9 @@ ExperimentRunner::ExperimentRunner(const ModelConfig &model,
         // replaces the model's trace geometry so the systems, batch
         // statistics and capacity bounds all see the recorded stream's
         // true shape; the trace cache never participates.
+        SP_FAULT_POINT("dataset.replay.open");
         dataset_ = std::make_unique<data::TraceDataset>(
-            data::TraceDataset::replay(options_.replay_path, batches));
+            data::TraceDataset::open(options_.replay_path, batches));
         fatalIf(dataset_->numBatches() < batches, "replay file '",
                 options_.replay_path, "' holds only ",
                 dataset_->numBatches(), " batches; warmup ",

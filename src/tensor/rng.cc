@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/mix.h"
 
 namespace sp::tensor
 {
@@ -10,15 +11,7 @@ namespace sp::tensor
 namespace
 {
 
-uint64_t
-splitmix64(uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
+using common::splitmix64;
 
 uint64_t
 rotl(uint64_t x, int k)

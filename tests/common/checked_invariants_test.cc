@@ -6,9 +6,9 @@
  * behavior for whichever one is active: enabled builds must throw
  * PanicError on a violated SP_ASSERT, disabled builds must not even
  * evaluate the condition. The invariant-bearing code paths (Hit-Map
- * backward-shift erase, TraceView header validation) are then churned
- * hard enough that a broken invariant would trip its check in the
- * SP_CHECK=ON CI jobs.
+ * backward-shift erase, TraceDataset::open's header validation) are
+ * then churned hard enough that a broken invariant would trip its
+ * check in the SP_CHECK=ON CI jobs.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "cache/hit_map.h"
 #include "common/logging.h"
 #include "data/dataset.h"
-#include "data/trace_view.h"
 
 namespace sp
 {
@@ -108,11 +107,8 @@ TEST(CheckedInvariants, HitMapEraseChurnKeepsChainsProbeable)
         EXPECT_NE(map.find(key), cache::HitMap::kNotFound) << key;
 }
 
-TEST(CheckedInvariants, TraceViewRoundTripSatisfiesSizeInvariant)
+TEST(CheckedInvariants, OpenedTraceSatisfiesSizeInvariant)
 {
-    if (!data::TraceView::supported())
-        GTEST_SKIP() << "mmap views unsupported on this platform";
-
     namespace fs = std::filesystem;
     const fs::path path =
         fs::path(::testing::TempDir()) / "sp_checked_invariants.sptrace";
@@ -130,7 +126,7 @@ TEST(CheckedInvariants, TraceViewRoundTripSatisfiesSizeInvariant)
     // open() re-derives the expected file size from the header; the
     // SP_CHECK build asserts the two agree before any ids() access.
     const data::TraceDataset mapped =
-        data::TraceDataset::mapped(path.string(), 4);
+        data::TraceDataset::open(path.string(), 4);
     ASSERT_EQ(mapped.numBatches(), 4u);
     for (uint64_t b = 0; b < 4; ++b)
         EXPECT_TRUE(mapped.batch(b).idsEqual(dataset.batch(b)))

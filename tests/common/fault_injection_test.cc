@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "data/trace_store.h"
-#include "data/trace_view.h"
 #include "sim/hardware_config.h"
 #include "sys/experiment.h"
 
@@ -77,7 +76,7 @@ TEST(FaultInjection, ConfigureParsesTheFullGrammar)
     FaultGuard guard(
         " trace_store.load ; dataset.save.write:after=2 ;"
         "trace_store.publish.rename:after=1,every=3;"
-        "trace_view.mmap:p=0.25,seed=42");
+        "dataset.open.mmap:p=0.25,seed=42");
     EXPECT_TRUE(armed());
     const std::vector<Schedule> parsed = schedules();
     ASSERT_EQ(parsed.size(), 4u);
@@ -90,7 +89,7 @@ TEST(FaultInjection, ConfigureParsesTheFullGrammar)
     EXPECT_EQ(parsed[2].site, "trace_store.publish.rename");
     EXPECT_EQ(parsed[2].after, 1u);
     EXPECT_EQ(parsed[2].every, 3u);
-    EXPECT_EQ(parsed[3].site, "trace_view.mmap");
+    EXPECT_EQ(parsed[3].site, "dataset.open.mmap");
     EXPECT_DOUBLE_EQ(parsed[3].probability, 0.25);
     EXPECT_EQ(parsed[3].seed, 42u);
     // describe() records the seed so the run can be replayed exactly.
@@ -242,15 +241,13 @@ matrixConfig()
 class TempStore
 {
   public:
-    explicit TempStore(const std::string &name, bool use_mmap = true)
+    explicit TempStore(const std::string &name)
         : dir_(fs::path(::testing::TempDir()) /
                ("sp_fault_matrix_" + name))
     {
         fs::remove_all(dir_);
-        data::TraceStore::Options options;
-        options.directory = dir_.string();
-        options.use_mmap = use_mmap;
-        store_ = std::make_unique<data::TraceStore>(options);
+        store_ = std::make_unique<data::TraceStore>(
+            data::TraceStore::Options{.directory = dir_.string()});
     }
     ~TempStore() { fs::remove_all(dir_); }
 
@@ -328,11 +325,11 @@ publishFaultScenario(const std::string &site, bool expect_published)
 /** Recoverable load-path fault: a warm entry reads as a classified
  *  miss and the trace regenerates with identical data. */
 void
-loadFaultScenario(const std::string &site, bool use_mmap)
+loadFaultScenario(const std::string &site)
 {
     const data::TraceConfig config = matrixConfig();
     const data::TraceDataset want(config, kBatches);
-    TempStore store("load_" + site, use_mmap);
+    TempStore store("load_" + site);
     store->acquire(config, kBatches); // prewarm, disarmed
     FaultGuard guard(site + ":every=1");
     data::TraceStore::AcquireInfo info;
@@ -342,6 +339,38 @@ loadFaultScenario(const std::string &site, bool use_mmap)
     EXPECT_FALSE(info.cache_hit);
     EXPECT_EQ(info.load_status.code(), ErrorCode::FaultInjected);
     expectIdenticalData(got, want);
+}
+
+/** Replay: an armed open surfaces from ExperimentRunner's constructor
+ *  as a classified StatusError (spsim's usage-error path, never
+ *  a partial stream); disarmed, the runner replays data identical to
+ *  the recorded dataset. */
+void
+replayOpenScenario()
+{
+    const data::TraceDataset want(matrixConfig(), kBatches);
+    const fs::path path =
+        fs::path(::testing::TempDir()) / "sp_fault_matrix_replay.trace";
+    ASSERT_TRUE(want.saveTo(path.string()).ok());
+    const sys::ModelConfig model = sys::ModelConfig::functionalScale();
+    const auto hw = sim::HardwareConfig::paperTestbed();
+    sys::ExperimentOptions options;
+    options.iterations = 1;
+    options.warmup = 1; // + 2 look-ahead batches = kBatches
+    options.replay_path = path.string();
+    {
+        FaultGuard guard("dataset.replay.open:every=1");
+        try {
+            const sys::ExperimentRunner runner(model, hw, options);
+            ADD_FAILURE() << "armed replay open did not throw";
+        } catch (const StatusError &error) {
+            EXPECT_EQ(error.status().code(), ErrorCode::FaultInjected);
+        }
+        EXPECT_GT(firedCount("dataset.replay.open"), 0u);
+    }
+    const sys::ExperimentRunner runner(model, hw, options);
+    expectIdenticalData(runner.dataset(), want);
+    fs::remove(path);
 }
 
 /** Sweep isolation: the faulted spec records its error, the rest of
@@ -443,44 +472,16 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
     clear();
     using Scenario = void (*)();
     const std::map<std::string, Scenario> scenarios = {
-        {"dataset.load.read",
-         // The read site only runs in the no-mmap tier.
-         [] { loadFaultScenario("dataset.load.read", false); }},
-        {"dataset.replay.open",
-         [] {
-             // Replay path: an armed open surfaces as a classified
-             // StatusError (the drivers' usage-error path, never a
-             // partial stream); disarmed, the same file replays data
-             // identical to the recorded dataset.
-             const data::TraceConfig config = matrixConfig();
-             const data::TraceDataset want(config, kBatches);
-             const fs::path path =
-                 fs::path(::testing::TempDir()) /
-                 "sp_fault_matrix_replay.trace";
-             ASSERT_TRUE(want.saveTo(path.string()).ok());
-             {
-                 FaultGuard guard("dataset.replay.open:every=1");
-                 try {
-                     data::TraceDataset::replay(path.string(), kBatches);
-                     ADD_FAILURE() << "armed replay open did not throw";
-                 } catch (const StatusError &error) {
-                     EXPECT_EQ(error.status().code(),
-                               ErrorCode::FaultInjected);
-                 }
-                 EXPECT_GT(firedCount("dataset.replay.open"), 0u);
-             }
-             expectIdenticalData(
-                 data::TraceDataset::replay(path.string(), kBatches),
-                 want);
-             fs::remove(path);
-         }},
+        {"dataset.open.mmap",
+         [] { loadFaultScenario("dataset.open.mmap"); }},
+        {"dataset.replay.open", replayOpenScenario},
         {"dataset.save.write",
          [] { publishFaultScenario("dataset.save.write", false); }},
         {"experiment.run", experimentRunScenario},
         {"serve.request.drop", servingDropScenario},
         {"thread_pool.task", threadPoolTaskScenario},
         {"trace_store.load",
-         [] { loadFaultScenario("trace_store.load", true); }},
+         [] { loadFaultScenario("trace_store.load"); }},
         {"trace_store.publish.rename",
          [] {
              // Transient: a single injected rename failure is
@@ -503,12 +504,6 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
          }},
         {"trace_store.publish.save",
          [] { publishFaultScenario("trace_store.publish.save", false); }},
-        {"trace_view.mmap",
-         [] {
-             if (!data::TraceView::supported())
-                 return; // the site is unreachable on this platform
-             loadFaultScenario("trace_view.mmap", true);
-         }},
     };
     for (const SiteInfo &info : sites()) {
         SCOPED_TRACE(info.name);

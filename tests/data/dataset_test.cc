@@ -16,7 +16,6 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "data/trace_view.h"
 
 namespace sp::data
 {
@@ -147,15 +146,29 @@ TEST(Dataset, DenseAndLabelsDelegateToGenerator)
 
 TEST(Dataset, SaveLoadRoundTrip)
 {
+    // An opened file serves the saved batches in place, and look-ahead
+    // and the generator-derived streams work over the mapping.
     TempFile file;
-    TraceDataset original(smallConfig(), 7);
+    TraceConfig config = smallConfig();
+    config.per_table_exponents = {0.6, 0.8};
+    TraceDataset original(config, 6);
     ASSERT_TRUE(original.saveTo(file.path()).ok());
 
-    const TraceDataset loaded = TraceDataset::load(file.path());
-    EXPECT_EQ(loaded.numBatches(), original.numBatches());
-    EXPECT_TRUE(loaded.config() == original.config());
-    for (uint64_t b = 0; b < original.numBatches(); ++b)
+    const TraceDataset loaded = TraceDataset::open(file.path());
+    EXPECT_TRUE(loaded.config() == config);
+    ASSERT_EQ(loaded.numBatches(), 6u);
+    for (uint64_t b = 0; b < 6; ++b) {
         EXPECT_TRUE(loaded.batch(b).idsEqual(original.batch(b)));
+        EXPECT_EQ(loaded.batch(b).numTables(), config.num_tables);
+    }
+    const MiniBatch *ahead = loaded.lookAhead(2, 3);
+    ASSERT_NE(ahead, nullptr);
+    EXPECT_TRUE(ahead->idsEqual(original.batch(5)));
+    EXPECT_EQ(loaded.lookAhead(2, 4), nullptr);
+    EXPECT_TRUE(tensor::Matrix::identical(loaded.labels(1),
+                                          original.labels(1)));
+    EXPECT_TRUE(tensor::Matrix::identical(loaded.denseFeatures(2),
+                                          original.denseFeatures(2)));
 }
 
 TEST(Dataset, LoadedDatasetReproducesLabels)
@@ -165,7 +178,7 @@ TEST(Dataset, LoadedDatasetReproducesLabels)
     TempFile file;
     TraceDataset original(smallConfig(), 3);
     ASSERT_TRUE(original.saveTo(file.path()).ok());
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::open(file.path());
     EXPECT_TRUE(
         tensor::Matrix::identical(loaded.labels(1), original.labels(1)));
 }
@@ -179,7 +192,7 @@ TEST(Dataset, RoundTripPreservesFullConfigAndLookAhead)
     TempFile file;
     TraceDataset original(smallConfig(), 6);
     ASSERT_TRUE(original.saveTo(file.path()).ok());
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::open(file.path());
 
     EXPECT_TRUE(loaded.config() == original.config());
     for (uint64_t d = 0; d <= 6; ++d) {
@@ -207,7 +220,7 @@ TEST(Dataset, RoundTripPreservesEveryConfigField)
     TraceDataset original(config, 4);
     ASSERT_TRUE(original.saveTo(file.path()).ok());
 
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::open(file.path());
     EXPECT_TRUE(loaded.config() == config);
     for (uint64_t b = 0; b < 4; ++b)
         EXPECT_TRUE(loaded.batch(b).idsEqual(original.batch(b)));
@@ -218,66 +231,13 @@ TEST(Dataset, LoadHonoursMaxBatches)
     TempFile file;
     TraceDataset original(smallConfig(), 7);
     ASSERT_TRUE(original.saveTo(file.path()).ok());
-    const TraceDataset prefix = TraceDataset::load(file.path(), 3);
+    const TraceDataset prefix = TraceDataset::open(file.path(), 3);
     ASSERT_EQ(prefix.numBatches(), 3u);
     for (uint64_t b = 0; b < 3; ++b)
         EXPECT_TRUE(prefix.batch(b).idsEqual(original.batch(b)));
-}
-
-TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
-{
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
-    TempFile file;
-    TraceConfig config = smallConfig();
-    config.per_table_exponents = {0.6, 0.8};
-    TraceDataset original(config, 6);
-    ASSERT_TRUE(original.saveTo(file.path()).ok());
-
-    const TraceDataset mapped = TraceDataset::mapped(file.path());
-    EXPECT_TRUE(mapped.isMapped());
-    EXPECT_TRUE(mapped.config() == config);
-    ASSERT_EQ(mapped.numBatches(), 6u);
-    for (uint64_t b = 0; b < 6; ++b) {
-        EXPECT_TRUE(mapped.batch(b).idsEqual(original.batch(b)));
-        EXPECT_EQ(mapped.batch(b).numTables(), config.num_tables);
-    }
-    // Look-ahead and generator-derived streams work over the mapping.
-    const MiniBatch *ahead = mapped.lookAhead(2, 3);
-    ASSERT_NE(ahead, nullptr);
-    EXPECT_TRUE(ahead->idsEqual(original.batch(5)));
-    EXPECT_EQ(mapped.lookAhead(2, 4), nullptr);
-    EXPECT_TRUE(tensor::Matrix::identical(mapped.labels(1),
-                                          original.labels(1)));
-    EXPECT_TRUE(tensor::Matrix::identical(mapped.denseFeatures(2),
-                                          original.denseFeatures(2)));
-}
-
-TEST(Dataset, MappedHonoursMaxBatches)
-{
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
-    TempFile file;
-    TraceDataset original(smallConfig(), 6);
-    ASSERT_TRUE(original.saveTo(file.path()).ok());
-    const TraceDataset mapped = TraceDataset::mapped(file.path(), 2);
-    ASSERT_EQ(mapped.numBatches(), 2u);
-    EXPECT_TRUE(mapped.batch(1).idsEqual(original.batch(1)));
-    EXPECT_THROW(mapped.batch(2), PanicError);
-}
-
-TEST(Dataset, MappedRejectsCorruptFiles)
-{
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
-    TempFile file;
-    const std::string bytes =
-        savedBytes(TraceDataset(smallConfig(), 3), file.path());
-    writeBytes(file.path(),
-               std::string_view(bytes).substr(0, bytes.size() / 2));
-    EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
-    EXPECT_THROW(TraceDataset::mapped("/nonexistent/trace.bin"),
-                 FatalError);
+    EXPECT_THROW(prefix.batch(3), PanicError);
+    // A longer request serves the whole file.
+    EXPECT_EQ(TraceDataset::open(file.path(), 9).numBatches(), 7u);
 }
 
 TEST(Dataset, SaveToUnwritablePathFatal)
@@ -309,9 +269,10 @@ TEST(Dataset, LoadTruncatedBatchDataFatal)
     TempFile file;
     const std::string bytes =
         savedBytes(TraceDataset(smallConfig(), 7), file.path());
-    writeBytes(file.path(),
-               std::string_view(bytes).substr(0, 2 * bytes.size() / 3));
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    for (const size_t kept : {2 * bytes.size() / 3, bytes.size() / 2}) {
+        writeBytes(file.path(), std::string_view(bytes).substr(0, kept));
+        EXPECT_THROW(TraceDataset::open(file.path()), FatalError) << kept;
+    }
 }
 
 TEST(Dataset, LoadTruncatedHeaderFatal)
@@ -323,7 +284,7 @@ TEST(Dataset, LoadTruncatedHeaderFatal)
         savedBytes(TraceDataset(smallConfig(), 3), file.path());
     // magic + version + half a field
     writeBytes(file.path(), std::string_view(bytes).substr(0, 20));
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_THROW(TraceDataset::open(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadWrongVersionFatal)
@@ -333,7 +294,7 @@ TEST(Dataset, LoadWrongVersionFatal)
         savedBytes(TraceDataset(smallConfig(), 3), file.path());
     bytes[8] = char(0x7f); // version field follows the 8-byte magic
     writeBytes(file.path(), bytes);
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_THROW(TraceDataset::open(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
@@ -347,7 +308,7 @@ TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
     bytes[8] = char(1); // version field follows the 8-byte magic
     writeBytes(file.path(), bytes);
     try {
-        TraceDataset::load(file.path());
+        TraceDataset::open(file.path());
         FAIL() << "v1 file was accepted";
     } catch (const FatalError &error) {
         EXPECT_NE(std::string(error.what()).find("version 1"),
@@ -359,7 +320,7 @@ TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
 
 TEST(Dataset, LoadMissingFileFatal)
 {
-    EXPECT_THROW(TraceDataset::load("/nonexistent/path/trace.bin"),
+    EXPECT_THROW(TraceDataset::open("/nonexistent/path/trace.bin"),
                  FatalError);
 }
 
@@ -368,9 +329,9 @@ TEST(Dataset, LoadGarbageFileFatal)
     TempFile file;
     writeBytes(file.path(),
                "this is not a trace file at all, far too short header");
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
-    // Nor is a directory: it must classify, not size a read buffer.
-    EXPECT_THROW(TraceDataset::load(::testing::TempDir()), StatusError);
+    EXPECT_THROW(TraceDataset::open(file.path()), FatalError);
+    // Nor is a directory: it must classify, not map.
+    EXPECT_THROW(TraceDataset::open(::testing::TempDir()), StatusError);
 }
 
 TEST(Dataset, ZeroBatchesFatal)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-addressed trace cache tests: fingerprint stability and
- * sensitivity, cold/warm acquisition, mmap-vs-eager identity,
+ * sensitivity, cold/warm acquisition, generated-vs-mapped identity,
  * atomic publication under racing writers, corrupt-entry recovery,
  * and the transparent ExperimentRunner wiring.
  */
@@ -21,7 +21,6 @@
 #include "common/status.h"
 #include "data/trace_format.h"
 #include "data/trace_store.h"
-#include "data/trace_view.h"
 #include "sim/hardware_config.h"
 #include "sys/experiment.h"
 
@@ -50,15 +49,13 @@ smallConfig()
 class TempStore
 {
   public:
-    explicit TempStore(const std::string &name, bool use_mmap = true)
+    explicit TempStore(const std::string &name)
         : dir_(fs::path(::testing::TempDir()) /
                ("sp_store_test_" + name))
     {
         fs::remove_all(dir_);
-        TraceStore::Options options;
-        options.directory = dir_.string();
-        options.use_mmap = use_mmap;
-        store_ = std::make_unique<TraceStore>(options);
+        store_ = std::make_unique<TraceStore>(
+            TraceStore::Options{.directory = dir_.string()});
     }
     ~TempStore() { fs::remove_all(dir_); }
 
@@ -78,6 +75,14 @@ expectDatasetsEqual(const TraceDataset &a, const TraceDataset &b)
     EXPECT_TRUE(a.config() == b.config());
     for (uint64_t i = 0; i < a.numBatches(); ++i)
         EXPECT_TRUE(a.batch(i).idsEqual(b.batch(i))) << "batch " << i;
+}
+
+std::string
+fileBytes(const fs::path &path)
+{
+    std::ostringstream os;
+    os << std::ifstream(path, std::ios::binary).rdbuf();
+    return os.str();
 }
 
 TEST(Fingerprint, PinnedValueForDefaultConfig)
@@ -150,7 +155,6 @@ TEST(TraceStore, ColdAcquireGeneratesPublishesAndWarmHits)
     const TraceDataset warm = store->acquire(config, 6, &info);
     EXPECT_TRUE(info.cache_hit);
     EXPECT_FALSE(info.published);
-    EXPECT_EQ(info.mapped, TraceView::supported());
     expectDatasetsEqual(cold, warm);
     // Labels/dense features regenerate from the round-tripped config.
     EXPECT_TRUE(tensor::Matrix::identical(cold.labels(2),
@@ -161,39 +165,21 @@ TEST(TraceStore, ColdAcquireGeneratesPublishesAndWarmHits)
 
 TEST(TraceStore, MappedAndEagerHitsServeIdenticalBatches)
 {
-    // A trace's three sources -- the generator's buffer, a file
-    // mapping and one read of the file -- serve identical batches and
-    // save identical bytes.
-    TempStore mapped_store("mmap_vs_eager", true);
+    // A trace's two sources -- the generator's buffer and a file
+    // mapping -- serve identical batches and save identical bytes.
+    TempStore store("mmap_vs_eager");
     const TraceConfig config = smallConfig();
-    const TraceDataset generated = mapped_store->acquire(config, 5);
-
-    TraceStore::Options eager_options;
-    eager_options.directory = mapped_store.dir().string();
-    eager_options.use_mmap = false;
-    const TraceStore eager_store(eager_options);
+    const TraceDataset generated = store->acquire(config, 5);
 
     TraceStore::AcquireInfo info;
-    const TraceDataset via_map = mapped_store->acquire(config, 5, &info);
-    EXPECT_EQ(info.mapped, TraceView::supported());
-    EXPECT_EQ(via_map.isMapped(), TraceView::supported());
-    const TraceDataset via_read = eager_store.acquire(config, 5, &info);
+    const TraceDataset mapped = store->acquire(config, 5, &info);
     EXPECT_TRUE(info.cache_hit);
-    EXPECT_FALSE(info.mapped);
-    EXPECT_FALSE(via_read.isMapped());
-
-    expectDatasetsEqual(generated, via_map);
-    expectDatasetsEqual(via_map, via_read);
+    expectDatasetsEqual(generated, mapped);
     // The entry itself is generated.saveTo()'s output.
-    const auto bytes = [](const fs::path &path) {
-        std::ostringstream os;
-        os << std::ifstream(path, std::ios::binary).rdbuf();
-        return os.str();
-    };
-    const fs::path copy = mapped_store.dir() / "copy.sptrace";
-    for (const TraceDataset *dataset : {&via_map, &via_read}) {
+    const fs::path copy = store.dir() / "copy.sptrace";
+    for (const TraceDataset *dataset : {&generated, &mapped}) {
         ASSERT_TRUE(dataset->saveTo(copy.string()).ok());
-        EXPECT_EQ(bytes(copy), bytes(mapped_store->entryPath(config)));
+        EXPECT_EQ(fileBytes(copy), fileBytes(store->entryPath(config)));
     }
 }
 
@@ -436,46 +422,74 @@ TEST(TraceStore, MidFileTruncationReadsAsMissAndRegenerates)
     expectDatasetsEqual(warm, original);
 }
 
-/** The code a failing load() throws, or Ok when it loads. */
+/** The code a failing open() throws, or Ok when it opens. */
 ErrorCode
-loadFailure(const std::string &path)
+openFailure(const std::string &path)
 try {
-    TraceDataset::load(path);
+    TraceDataset::open(path);
     return ErrorCode::Ok;
 } catch (const StatusError &error) {
     return error.status().code();
 }
 
-TEST(TraceDataset, LoadClassifiesEnvironmentalFailures)
+/** `bytes` with the word at byte `offset` set to `word`. */
+std::string
+withWord(std::string bytes, size_t offset, uint64_t word)
+{
+    bytes.replace(offset, sizeof(word),
+                  reinterpret_cast<const char *>(&word), sizeof(word));
+    return bytes;
+}
+
+TEST(TraceDataset, OpenClassifiesEnvironmentalFailures)
 {
     TempStore store("classify");
     const TraceConfig config = smallConfig();
-    store->acquire(config, 3);
+    const TraceDataset original = store->acquire(config, 3);
     const std::string path = store->entryPath(config);
+    const std::string bytes = fileBytes(path);
 
-    EXPECT_EQ(loadFailure(path + ".missing"), ErrorCode::NotFound);
+    EXPECT_EQ(openFailure(path + ".missing"), ErrorCode::NotFound);
+    // Neither a directory nor a device is a regular file, whatever
+    // size it reports.
+    EXPECT_EQ(openFailure(store.dir().string()), ErrorCode::IoError);
+    EXPECT_EQ(openFailure("/dev/null"), ErrorCode::IoError);
 
-    // Rewrite the u32 version field (byte offset 8) to a future
-    // version: valid magic, unsupported format.
+    // Each damaged entry classifies, and the store regenerates over
+    // it like any bad entry.
+    const size_t batch1 =
+        format::headerBytes(config) + format::batchRecordBytes(config);
+    const struct
     {
-        std::fstream file(path,
-                          std::ios::binary | std::ios::in | std::ios::out);
-        file.seekp(8);
-        const uint32_t bad_version = format::kTraceFormatVersion + 9;
-        file.write(reinterpret_cast<const char *>(&bad_version),
-                   sizeof(bad_version));
+        const char *what;
+        std::string bytes;
+        ErrorCode code;
+    } damaged[] = {
+        // Bytes 8-15 are the u32 version, then its zero pad.
+        {"future version",
+         withWord(bytes, 8, format::kTraceFormatVersion + 9),
+         ErrorCode::VersionMismatch},
+        {"0 bytes", "", ErrorCode::Truncated},
+        {"short header", bytes.substr(0, 20), ErrorCode::Truncated},
+        {"payload cut mid-batch", bytes.substr(0, bytes.size() - 3),
+         ErrorCode::Truncated},
+        {"bad index word", withWord(bytes, batch1, 7), ErrorCode::Corrupt},
+        {"out-of-range row",
+         withWord(bytes, bytes.size() - 8, config.rows_per_table),
+         ErrorCode::Corrupt},
+    };
+    for (const auto &damage : damaged) {
+        SCOPED_TRACE(damage.what);
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << damage.bytes;
+        EXPECT_EQ(openFailure(path), damage.code);
+        TraceStore::AcquireInfo info;
+        const TraceDataset recovered = store->acquire(config, 3, &info);
+        EXPECT_FALSE(info.cache_hit);
+        EXPECT_EQ(info.load_status.code(), damage.code);
+        EXPECT_TRUE(info.published);
+        expectDatasetsEqual(recovered, original);
     }
-    EXPECT_EQ(loadFailure(path), ErrorCode::VersionMismatch);
-    // And the store degrades it to a regenerate, like any bad entry.
-    TraceStore::AcquireInfo info;
-    const TraceDataset recovered = store->acquire(config, 3, &info);
-    EXPECT_FALSE(info.cache_hit);
-    EXPECT_EQ(info.load_status.code(), ErrorCode::VersionMismatch);
-    EXPECT_EQ(recovered.numBatches(), 3u);
-
-    fs::resize_file(path, fs::file_size(path) - 3);
-    EXPECT_EQ(loadFailure(path), ErrorCode::Truncated);
-    EXPECT_THROW(TraceDataset::mapped(path), StatusError);
 }
 
 TEST(TraceStore, ExperimentRunnerServesIdenticalResultsFromCache)

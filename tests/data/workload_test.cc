@@ -360,11 +360,11 @@ class ReplayTest : public ::testing::Test
     }
     void TearDown() override { fs::remove(path_); }
 
-    /** The code replay() throws, or Ok when the file replays. */
+    /** The code open() throws, or Ok when the file replays. */
     ErrorCode
     replayFailure(uint64_t max_batches) const
     try {
-        TraceDataset::replay(path_, max_batches);
+        TraceDataset::open(path_, max_batches);
         return ErrorCode::Ok;
     } catch (const StatusError &error) {
         return error.status().code();
@@ -380,7 +380,7 @@ TEST_F(ReplayTest, GenerateSaveReplayMatchesDirectGeneration)
     const TraceDataset direct(config, kBatches);
     ASSERT_TRUE(direct.saveTo(path_).ok());
 
-    const TraceDataset replayed = TraceDataset::replay(path_, kBatches);
+    const TraceDataset replayed = TraceDataset::open(path_, kBatches);
     // The file's embedded config drives the run...
     EXPECT_EQ(replayed.config(), config);
     EXPECT_EQ(replayed.config().fingerprint(), config.fingerprint());

@@ -9,14 +9,18 @@
  *
  * kFigures holds one row per figure: its id, banner, the optional
  * flags it takes, and the function that prints its body and footer.
- * main() parses the flags once, rejects an optional flag the row does
- * not take, prints the banner and runs the row. A row takes --workload
- * when it builds every trace through common/workload.h's makeWorkload,
- * which overlays the shaping; fig03, fig06 and overhead_storage build
- * their own traces, so the flag would change nothing there.
+ * main() reads the flags and the SP_BENCH_* counts once into
+ * FigureOptions, rejects an optional flag the row does not take,
+ * prints the banner and runs the row. A row simulates registry specs
+ * through one sys::ExperimentRunner per locality and model, built by
+ * runnerFor(), and takes --workload's shaping keys; fig03, fig06 and
+ * overhead_storage build their own traces, so they reject the flag.
+ * No row replays a trace file (spsim does): a recorded trace fixes
+ * the locality and geometry the rows sweep.
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <initializer_list>
 #include <iostream>
 #include <span>
@@ -25,15 +29,17 @@
 
 #include "common/args.h"
 #include "common/logging.h"
+#include "common/spec_number.h"
 #include "common/thread_pool.h"
-#include "common/workload.h"
 #include "core/controller.h"
 #include "data/access_stats.h"
+#include "data/trace_store.h"
+#include "data/workload.h"
 #include "data/zipf.h"
 #include "metrics/cost.h"
 #include "metrics/energy.h"
 #include "metrics/table_printer.h"
-#include "sys/multigpu.h"
+#include "sys/experiment.h"
 #include "sys/plan_fanout.h"
 #include "sys/scratchpipe_sys.h"
 
@@ -44,14 +50,35 @@ namespace
 
 using metrics::TablePrinter;
 
-/** fig13_speedup's switches; every other figure rejects them. */
-struct FigureFlags
+/** What main() read from the flags and the environment. */
+struct FigureOptions
 {
-    /** Emit the sweep's raw RunResults as JSON instead of the table. */
+    /** fig13_speedup's --json (raw RunResults instead of the table)
+     *  and --quick (small fixed geometry); other rows reject them. */
     bool json = false;
-    /** Small fixed geometry with pinned iteration counts. */
     bool quick = false;
+    /** SP_BENCH_WARMUP / SP_BENCH_MEASURE, or --quick's pinned pair. */
+    uint64_t warmup = 5;
+    uint64_t measure = 10;
+    /** --workload's shaping keys. */
+    data::WorkloadConfig shaping;
 };
+
+/** The paper-testbed runner over `model` at `locality` with the
+ *  shaping overlaid: one trace and its statistics, over which a row
+ *  simulates any registry spec for the warm-up and measured counts. */
+sys::ExperimentRunner
+runnerFor(const FigureOptions &options, data::Locality locality,
+          sys::ModelConfig model = sys::ModelConfig::paperDefault())
+{
+    model.trace.locality = locality;
+    model.trace.workload = options.shaping;
+    sys::ExperimentOptions counts;
+    counts.iterations = options.measure;
+    counts.warmup = options.warmup;
+    return sys::ExperimentRunner(model, sim::HardwareConfig::paperTestbed(),
+                                 counts);
+}
 
 /** Seconds -> "12.34" milliseconds. */
 std::string
@@ -111,7 +138,7 @@ baselineBreakdown(const sys::RunResult &result)
  * 8.5%).
  */
 void
-fig03AccessDistribution(const FigureFlags &)
+fig03AccessDistribution(const FigureOptions &)
 {
     constexpr uint64_t rows = 10'000'000;
     const std::vector<uint64_t> rank_samples = {
@@ -171,13 +198,13 @@ fig03AccessDistribution(const FigureFlags &)
  * transfers).
  */
 void
-fig05BreakdownBaseline(const FigureFlags &)
+fig05BreakdownBaseline(const FigureOptions &options)
 {
     TablePrinter table({"system", "locality", "cpu_emb_fwd_ms",
                         "cpu_emb_bwd_ms", "gpu_ms", "total_ms",
                         "hit_rate"});
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
+        const auto runner = runnerFor(options, locality);
         struct Setup
         {
             const char *name;
@@ -187,7 +214,7 @@ fig05BreakdownBaseline(const FigureFlags &)
              {Setup{"Hybrid CPU-GPU", "hybrid"},
               Setup{"Static cache (2%)", "static:cache=0.02"},
               Setup{"Static cache (10%)", "static:cache=0.10"}}) {
-            const auto result = workload.run(setup.spec);
+            const auto result = runner.run(setup.spec);
             std::vector<std::string> row = {setup.name,
                                             data::localityName(locality)};
             for (std::string &cell : baselineBreakdown(result))
@@ -215,7 +242,7 @@ fig05BreakdownBaseline(const FigureFlags &)
  * table cached to pass a 90% hit rate.
  */
 void
-fig06HitrateVsSize(const FigureFlags &)
+fig06HitrateVsSize(const FigureOptions &)
 {
     constexpr uint64_t rows = 10'000'000;
     const std::vector<double> fractions = {0.01, 0.02, 0.05, 0.10, 0.20,
@@ -278,17 +305,17 @@ fig06HitrateVsSize(const FigureFlags &)
 /** Fig. 12(a): the baseline's breakdown without caching (0%, the
  *  hybrid) and with static caches of 2-10% of the tables. */
 void
-fig12aBreakdownStatic(const FigureFlags &)
+fig12aBreakdownStatic(const FigureOptions &options)
 {
     TablePrinter table({"locality", "cache", "cpu_emb_fwd_ms",
                         "cpu_emb_bwd_ms", "gpu_ms", "total_ms"});
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
+        const auto runner = runnerFor(options, locality);
         for (double fraction : {0.0, 0.02, 0.04, 0.06, 0.08, 0.10}) {
             const auto result =
                 fraction == 0.0
-                    ? workload.run("hybrid")
-                    : workload.run(
+                    ? runner.run("hybrid")
+                    : runner.run(
                           sys::SystemSpec::withCache("static", fraction));
             std::vector<std::string> row = {data::localityName(locality),
                                             percent(fraction, 0)};
@@ -307,15 +334,15 @@ fig12aBreakdownStatic(const FigureFlags &)
 /** Fig. 12(b): ScratchPipe's per-stage latency at 2-10% caches, plus
  *  the binding constraint of the steady-state cycle. */
 void
-fig12bBreakdownScratchpipe(const FigureFlags &)
+fig12bBreakdownScratchpipe(const FigureOptions &options)
 {
     TablePrinter table({"locality", "cache", "plan_ms", "collect_ms",
                         "exchange_ms", "insert_ms", "train_ms", "cycle_ms",
                         "hit_rate", "bottleneck"});
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
+        const auto runner = runnerFor(options, locality);
         for (double fraction : {0.02, 0.04, 0.06, 0.08, 0.10}) {
-            const auto result = workload.run(
+            const auto result = runner.run(
                 sys::SystemSpec::withCache("scratchpipe", fraction));
             table.addRow({data::localityName(locality),
                           percent(fraction, 0),
@@ -361,31 +388,25 @@ quickModel()
  * --json dumps the sweep's raw RunResults instead of the table.
  */
 void
-fig13Speedup(const FigureFlags &flags)
+fig13Speedup(const FigureOptions &options)
 {
-    const sys::ModelConfig quick_model = quickModel();
-    WorkloadOptions quick_options;
-    quick_options.base = &quick_model;
-    quick_options.warmup = kQuickWarmup;
-    quick_options.measure = kQuickMeasure;
-
     TablePrinter table({"locality", "cache", "hybrid", "static",
                         "strawman", "scratchpipe", "sp_cycle_ms"});
     std::vector<sys::RunResult> raw;
     Aggregate vs_static, vs_hybrid;
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = flags.quick
-                                      ? makeWorkload(locality, quick_options)
-                                      : makeWorkload(locality);
-        const auto hybrid = workload.run("hybrid");
+        const auto runner = runnerFor(
+            options, locality,
+            options.quick ? quickModel() : sys::ModelConfig::paperDefault());
+        const auto hybrid = runner.run("hybrid");
         raw.push_back(hybrid);
         const double t_hybrid = hybrid.seconds_per_iteration;
         for (double fraction : {0.02, 0.04, 0.06, 0.08, 0.10}) {
-            const auto statik = workload.run(
+            const auto statik = runner.run(
                 sys::SystemSpec::withCache("static", fraction));
-            const auto straw = workload.run(
+            const auto straw = runner.run(
                 sys::SystemSpec::withCache("strawman", fraction));
-            const auto sp = workload.run(
+            const auto sp = runner.run(
                 sys::SystemSpec::withCache("scratchpipe", fraction));
             raw.push_back(statik);
             raw.push_back(straw);
@@ -403,7 +424,7 @@ fig13Speedup(const FigureFlags &flags)
         }
     }
 
-    if (flags.json) {
+    if (options.json) {
         std::cout << sys::toJson(raw) << "\n";
         return;
     }
@@ -417,15 +438,15 @@ fig13Speedup(const FigureFlags &flags)
 /** Fig. 14: per-iteration energy of the static cache vs ScratchPipe
  *  (10% caches): component power integrated over the modeled time. */
 void
-fig14Energy(const FigureFlags &)
+fig14Energy(const FigureOptions &options)
 {
     const metrics::EnergyModel energy(sim::HardwareConfig::paperTestbed());
     TablePrinter table({"locality", "static_J", "scratchpipe_J",
                         "reduction", "static_avg_W", "scratchpipe_avg_W"});
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
-        const auto r_static = workload.run("static:cache=0.10");
-        const auto r_sp = workload.run("scratchpipe:cache=0.10");
+        const auto runner = runnerFor(options, locality);
+        const auto r_static = runner.run("static:cache=0.10");
+        const auto r_sp = runner.run("scratchpipe:cache=0.10");
         const double j_static = energy.iterationEnergy(r_static.busy);
         const double j_sp = energy.iterationEnergy(r_sp.busy);
         table.addRow(
@@ -449,7 +470,8 @@ fig14Energy(const FigureFlags &)
  * `aggregate_at`.
  */
 Aggregate
-sensitivityTable(const char *axis, std::initializer_list<size_t> values,
+sensitivityTable(const FigureOptions &options, const char *axis,
+                 std::initializer_list<size_t> values,
                  void (*apply)(sys::ModelConfig &, size_t),
                  size_t aggregate_at)
 {
@@ -460,9 +482,9 @@ sensitivityTable(const char *axis, std::initializer_list<size_t> values,
         for (size_t value : values) {
             sys::ModelConfig model = sys::ModelConfig::paperDefault();
             apply(model, value);
-            const Workload workload = makeWorkload(locality, &model);
+            const auto runner = runnerFor(options, locality, model);
             const auto seconds = [&](const char *spec) {
-                return workload.run(spec).seconds_per_iteration;
+                return runner.run(spec).seconds_per_iteration;
             };
             const double t_hybrid = seconds("hybrid");
             const double t_static = seconds("static:cache=0.10");
@@ -483,10 +505,10 @@ sensitivityTable(const char *axis, std::initializer_list<size_t> values,
 
 /** Fig. 15(a): embedding dimension 64 / 128 / 256. */
 void
-fig15aDimSensitivity(const FigureFlags &)
+fig15aDimSensitivity(const FigureOptions &options)
 {
     sensitivityTable(
-        "dim", {64, 128, 256},
+        options, "dim", {64, 128, 256},
         [](sys::ModelConfig &model, size_t dim) {
             model.embedding_dim = dim;
         },
@@ -498,10 +520,10 @@ fig15aDimSensitivity(const FigureFlags &)
 
 /** Fig. 15(b): lookups per table 1 / 20 / 50. */
 void
-fig15bLookupSensitivity(const FigureFlags &)
+fig15bLookupSensitivity(const FigureOptions &options)
 {
     const Aggregate at_50 = sensitivityTable(
-        "lookups", {1, 20, 50},
+        options, "lookups", {1, 20, 50},
         [](sys::ModelConfig &model, size_t lookups) {
             model.trace.lookups_per_table = lookups;
         },
@@ -519,7 +541,7 @@ fig15bLookupSensitivity(const FigureFlags &)
  * iterations-to-accuracy are identical and cost is price/hour x time.
  */
 void
-table1TrainingCost(const FigureFlags &)
+table1TrainingCost(const FigureOptions &options)
 {
     const auto p3_2x = metrics::AwsInstance::p3_2xlarge();
     const auto p3_16x = metrics::AwsInstance::p3_16xlarge();
@@ -529,9 +551,9 @@ table1TrainingCost(const FigureFlags &)
                         "iter_ms", "1M_iter_cost"});
     Aggregate saving;
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
-        const auto sp = workload.run("scratchpipe:cache=0.10");
-        const auto multi = workload.run("multigpu");
+        const auto runner = runnerFor(options, locality);
+        const auto sp = runner.run("scratchpipe:cache=0.10");
+        const auto multi = runner.run("multigpu");
         const double cost_sp =
             metrics::trainingCost(p3_2x, sp.seconds_per_iteration, kIters);
         const double cost_multi = metrics::trainingCost(
@@ -566,7 +588,7 @@ table1TrainingCost(const FigureFlags &)
  * which window-internal hits keep far below the bound.
  */
 void
-overheadStorage(const FigureFlags &)
+overheadStorage(const FigureOptions &)
 {
     const auto mib = [](double bytes) {
         return TablePrinter::num(bytes / (1024.0 * 1024.0), 1);
@@ -641,17 +663,17 @@ overheadStorage(const FigureFlags &)
  *  reports robustness when swapping LRU for random or LFU; this sweeps
  *  all four implemented policies. */
 void
-ablationPolicy(const FigureFlags &)
+ablationPolicy(const FigureOptions &options)
 {
     TablePrinter table({"locality", "policy", "hit_rate", "cycle_ms",
                         "vs_LRU"});
     for (auto locality : data::kAllLocalities) {
-        const Workload workload = makeWorkload(locality);
+        const auto runner = runnerFor(options, locality);
         double lru_cycle = 0.0;
         for (auto policy :
              {cache::PolicyKind::Lru, cache::PolicyKind::Lfu,
               cache::PolicyKind::Random, cache::PolicyKind::Fifo}) {
-            const auto result = workload.run(
+            const auto result = runner.run(
                 std::string("scratchpipe:cache=0.10,policy=") +
                 cache::policyName(policy));
             if (policy == cache::PolicyKind::Lru)
@@ -675,7 +697,7 @@ ablationPolicy(const FigureFlags &)
  *  move more embedding bytes per iteration and stress the baselines'
  *  CPU paths harder. */
 void
-ablationBatch(const FigureFlags &)
+ablationBatch(const FigureOptions &options)
 {
     TablePrinter table({"locality", "batch", "static_ms",
                         "scratchpipe_ms", "speedup"});
@@ -684,11 +706,11 @@ ablationBatch(const FigureFlags &)
         for (size_t batch : {512u, 2048u, 8192u}) {
             sys::ModelConfig model = sys::ModelConfig::paperDefault();
             model.trace.batch_size = batch;
-            const Workload workload = makeWorkload(locality, &model);
+            const auto runner = runnerFor(options, locality, model);
             const double t_static =
-                workload.run("static:cache=0.10").seconds_per_iteration;
+                runner.run("static:cache=0.10").seconds_per_iteration;
             const double t_sp =
-                workload.run("scratchpipe:cache=0.10").seconds_per_iteration;
+                runner.run("scratchpipe:cache=0.10").seconds_per_iteration;
             table.addRow({data::localityName(locality),
                           std::to_string(batch), ms(t_static), ms(t_sp),
                           TablePrinter::num(t_static / t_sp, 2) + "x"});
@@ -705,7 +727,7 @@ ablationBatch(const FigureFlags &)
  *  dominates every system and the advantage compresses -- the check
  *  that the win comes from the embedding path. */
 void
-ablationMlp(const FigureFlags &)
+ablationMlp(const FigureOptions &options)
 {
     struct Arch
     {
@@ -726,10 +748,10 @@ ablationMlp(const FigureFlags &)
             sys::ModelConfig model = sys::ModelConfig::paperDefault();
             model.bottom_hidden = arch.bottom;
             model.top_hidden = arch.top;
-            const Workload workload = makeWorkload(locality, &model);
+            const auto runner = runnerFor(options, locality, model);
             const double t_static =
-                workload.run("static:cache=0.10").seconds_per_iteration;
-            const auto sp = workload.run("scratchpipe:cache=0.10");
+                runner.run("static:cache=0.10").seconds_per_iteration;
+            const auto sp = runner.run("scratchpipe:cache=0.10");
             table.addRow({data::localityName(locality), arch.name,
                           ms(t_static), ms(sp.seconds_per_iteration),
                           TablePrinter::num(
@@ -752,12 +774,12 @@ ablationMlp(const FigureFlags &)
  * choice is the minimum that is hazard-free.
  */
 void
-ablationWindow(const FigureFlags &)
+ablationWindow(const FigureOptions &options)
 {
     TablePrinter table({"locality", "past", "future", "worst_case_slots",
                         "hit_rate", "cycle_ms", "bottleneck"});
     for (auto locality : {data::Locality::Low, data::Locality::High}) {
-        const Workload w = makeWorkload(locality);
+        const auto runner = runnerFor(options, locality);
         struct Geometry
         {
             uint32_t past, future;
@@ -765,14 +787,15 @@ ablationWindow(const FigureFlags &)
         for (const Geometry g : {Geometry{3, 2}, Geometry{4, 2},
                                  Geometry{5, 3}, Geometry{7, 4}}) {
             const auto result =
-                w.run("scratchpipe:cache=0.10,past=" +
-                      std::to_string(g.past) +
-                      ",future=" + std::to_string(g.future));
+                runner.run("scratchpipe:cache=0.10,past=" +
+                           std::to_string(g.past) +
+                           ",future=" + std::to_string(g.future));
             table.addRow(
                 {data::localityName(locality), std::to_string(g.past),
                  std::to_string(g.future),
                  std::to_string(core::ScratchPipeController::worstCaseSlots(
-                     g.past, g.future, w.model.trace.idsPerTable())),
+                     g.past, g.future,
+                     runner.model().trace.idsPerTable())),
                  percent(result.hit_rate, 1),
                  ms(result.seconds_per_iteration), result.bottleneck});
         }
@@ -793,9 +816,8 @@ ablationWindow(const FigureFlags &)
  * bit-exact).
  */
 void
-ablationOptimizer(const FigureFlags &)
+ablationOptimizer(const FigureOptions &options)
 {
-    const sim::HardwareConfig hw = sim::HardwareConfig::paperTestbed();
     TablePrinter table({"locality", "optimizer", "cycle_ms", "slowdown",
                         "bottleneck"});
     for (auto locality : data::kAllLocalities) {
@@ -804,13 +826,8 @@ ablationOptimizer(const FigureFlags &)
              {sys::Optimizer::Sgd, sys::Optimizer::AdaGrad}) {
             sys::ModelConfig model = sys::ModelConfig::paperDefault();
             model.optimizer = optimizer;
-            const Workload w = makeWorkload(locality, &model);
-
-            sys::ScratchPipeOptions options;
-            options.cache_fraction = 0.10;
-            sys::ScratchPipeSystem system(w.model, hw, options);
-            const auto result = system.simulate(w.dataset(), w.stats(),
-                                                w.measure, w.warmup);
+            const auto result = runnerFor(options, locality, model)
+                                    .run("scratchpipe:cache=0.10");
             if (optimizer == sys::Optimizer::Sgd)
                 sgd_cycle = result.seconds_per_iteration;
             table.addRow(
@@ -837,9 +854,8 @@ ablationOptimizer(const FigureFlags &)
  * iterations and the cost ratio against 1-GPU ScratchPipe.
  */
 void
-extensionMultigpuScratchpipe(const FigureFlags &)
+extensionMultigpuScratchpipe(const FigureOptions &options)
 {
-    const sim::HardwareConfig hw = sim::HardwareConfig::paperTestbed();
     const auto p3_2x = metrics::AwsInstance::p3_2xlarge();
     const auto p3_16x = metrics::AwsInstance::p3_16xlarge();
     constexpr uint64_t kIters = 1'000'000;
@@ -847,21 +863,19 @@ extensionMultigpuScratchpipe(const FigureFlags &)
     TablePrinter table({"locality", "system", "iter_ms", "speedup_vs_1gpu",
                         "1M_iter_cost", "cost_ratio", "bottleneck"});
     for (auto locality : data::kAllLocalities) {
-        const Workload w = makeWorkload(locality);
-
-        sys::ScratchPipeOptions options;
-        options.cache_fraction = 0.10;
-        sys::ScratchPipeSystem single(w.model, hw, options);
-        options.gpus = hw.multi_gpu_count;
-        sys::ScratchPipeSystem multi_sp(w.model, hw, options);
-        sys::MultiGpuSystem plain_multi(w.model, hw);
-
-        const auto r1 = single.simulate(w.dataset(), w.stats(), w.measure,
-                                        w.warmup);
-        const auto r8 = multi_sp.simulate(w.dataset(), w.stats(),
-                                          w.measure, w.warmup);
-        const auto rp = plain_multi.simulate(w.dataset(), w.stats(),
-                                             w.measure, w.warmup);
+        const auto runner = runnerFor(options, locality);
+        const auto r1 = runner.run("scratchpipe:cache=0.10");
+        const auto rp = runner.run("multigpu");
+        // No spec key sets ScratchPipeOptions::gpus, so the 8-GPU
+        // ScratchPipe is the one system a row builds by hand.
+        sys::ScratchPipeOptions multi;
+        multi.cache_fraction = 0.10;
+        multi.gpus = runner.hardware().multi_gpu_count;
+        const auto r8 =
+            sys::ScratchPipeSystem(runner.model(), runner.hardware(), multi)
+                .simulate(runner.dataset(), runner.stats(),
+                          runner.options().iterations,
+                          runner.options().warmup);
 
         const double c1 = metrics::trainingCost(
             p3_2x, r1.seconds_per_iteration, kIters);
@@ -901,11 +915,11 @@ extensionMultigpuScratchpipe(const FigureFlags &)
  * curve brackets the knee at any geometry.
  */
 void
-serveLatencyCurve(const FigureFlags &)
+serveLatencyCurve(const FigureOptions &options)
 {
-    const Workload workload = makeWorkload(data::Locality::Medium);
+    const auto runner = runnerFor(options, data::Locality::Medium);
     const auto serveAt = [&](const std::string &refresh, double rate) {
-        return workload.run(
+        return runner.run(
             "serve:rate=" + std::to_string(static_cast<uint64_t>(rate)) +
             ",batch_max=64,budget_us=500,refresh=" + refresh);
     };
@@ -943,10 +957,11 @@ serveLatencyCurve(const FigureFlags &)
 enum Takes : unsigned
 {
     kNoFlags = 0,
-    /** --workload: every trace the row simulates comes from
-     *  makeWorkload, which also reads the SP_BENCH_* counts. */
+    /** --workload's shaping keys: every trace the row simulates comes
+     *  from runnerFor(), which overlays them and runs the SP_BENCH_*
+     *  counts. */
     kWorkload = 1u << 0,
-    /** FigureFlags' --json/--quick. */
+    /** FigureOptions' --json/--quick. */
     kJsonQuick = 1u << 1,
 };
 
@@ -961,7 +976,7 @@ struct Figure
     /** The optional flags it takes, as Takes bits. */
     unsigned takes;
     /** Prints the body and footer. */
-    void (*run)(const FigureFlags &);
+    void (*run)(const FigureOptions &);
 };
 
 constexpr Figure kFigures[] = {
@@ -1069,29 +1084,38 @@ findFigure(const std::string &id)
 /** The title, the paper reference, the geometry and, on a row that
  *  reads them, the warmup/measure counts its run uses. */
 void
-printBanner(const Figure &figure, const FigureFlags &flags)
+printBanner(const Figure &figure, const FigureOptions &options)
 {
     std::cout << "\n=== " << figure.title << " ===\n"
               << figure.reference << "\n";
-    const auto counts = [](uint64_t warmup, uint64_t measure) {
-        std::cout << "warmup " << warmup << " iters, measuring " << measure
-                  << " iters\n";
-    };
-    if (flags.quick) {
+    if (options.quick) {
         const sys::ModelConfig quick = quickModel();
         std::cout << "geometry: " << quick.trace.num_tables << " tables x "
                   << quick.trace.rows_per_table << " rows x "
                   << quick.embedding_dim << "-dim; batch "
                   << quick.trace.batch_size << "; "
                   << quick.trace.lookups_per_table << " lookups/table\n";
-        counts(kQuickWarmup, kQuickMeasure);
     } else {
         std::cout << "geometry: 8 tables x 10M rows x 128-dim unless "
                      "noted; batch 2048; 20 lookups/table\n";
-        if (figure.takes & kWorkload)
-            counts(warmupIterations(), measureIterations());
     }
+    if (figure.takes & kWorkload)
+        std::cout << "warmup " << options.warmup << " iters, measuring "
+                  << options.measure << " iters\n";
     std::cout << "\n";
+}
+
+/** An SP_BENCH_* count: decimal digits only, like SP_JOBS; unset or 0
+ *  keeps `fallback`. */
+uint64_t
+envCount(const char *name, uint64_t fallback)
+{
+    const char *text = std::getenv(name);
+    if (text == nullptr)
+        return fallback;
+    uint64_t count = 0;
+    common::OptionValue(count).read("environment", name, text);
+    return count > 0 ? count : fallback;
 }
 
 } // namespace
@@ -1111,7 +1135,17 @@ main(int argc, char **argv)
                  "fig13_speedup only: small fixed geometry with pinned "
                  "iteration counts (regression-test scale; ignores "
                  "SP_BENCH_* counts)");
-    bench::addCommonFlags(args);
+    args.addInt("jobs", 0,
+                "worker threads for every parallel site (trace "
+                "generation, per-table planning); 0 = all cores");
+    args.addBool("no-trace-cache",
+                 "regenerate the trace instead of serving it from the "
+                 "content-addressed cache (SP_TRACE_CACHE, default "
+                 ".sp-trace-cache/)");
+    args.addString("workload", "",
+                   "workload shaping spec applied to every trace the "
+                   "figure sweeps, e.g. 'drift_amp=0.4,drift_period=8' "
+                   "(see data/workload.h; spsim replays trace files)");
     try {
         if (!args.parse(argc, argv)) {
             std::cout << args.usage();
@@ -1119,20 +1153,43 @@ main(int argc, char **argv)
         }
         const bench::Figure &figure =
             bench::findFigure(args.getString("figure"));
-        const bench::FigureFlags flags{args.getBool("json"),
-                                       args.getBool("quick")};
+        bench::FigureOptions options;
+        options.json = args.getBool("json");
+        options.quick = args.getBool("quick");
         fatalIf(!(figure.takes & bench::kJsonQuick) &&
-                    (flags.json || flags.quick),
+                    (options.json || options.quick),
                 "figure '", figure.id,
                 "' takes no --json or --quick (fig13_speedup does)");
+        const data::WorkloadSpec workload =
+            data::WorkloadSpec::parse(args.getString("workload"));
+        fatalIf(!workload.replay_path.empty(), "figure '", figure.id,
+                "' builds its traces at the localities and geometry it "
+                "reproduces, which a replay file fixes; replay it with "
+                "spsim --workload replay=",
+                workload.replay_path);
         fatalIf(!(figure.takes & bench::kWorkload) &&
                     !args.getString("workload").empty(),
                 "figure '", figure.id,
                 "' builds its own traces and takes no --workload");
-        bench::applyCommonFlags(args);
-        if (!flags.json)
-            bench::printBanner(figure, flags);
-        figure.run(flags);
+        options.shaping = workload.config;
+        options.warmup = bench::envCount("SP_BENCH_WARMUP", options.warmup);
+        options.measure =
+            bench::envCount("SP_BENCH_MEASURE", options.measure);
+        if (options.quick) {
+            options.warmup = bench::kQuickWarmup;
+            options.measure = bench::kQuickMeasure;
+        }
+        // Trace cache and pool width are set before any trace is
+        // built; results are bit-identical whatever either is.
+        data::TraceStore::setCacheEnabled(!args.getBool("no-trace-cache"));
+        const uint32_t jobs = parseJobsArg(args);
+        if (args.wasSet("jobs"))
+            common::ThreadPool::setGlobalThreads(
+                jobs > 0 ? static_cast<size_t>(jobs)
+                         : common::ThreadPool::defaultThreads());
+        if (!options.json)
+            bench::printBanner(figure, options);
+        figure.run(options);
     } catch (const FatalError &error) {
         // A bad flag or spec is a usage error, not a crash: print the
         // message (not an uncaught-exception abort) and exit 1.

@@ -339,13 +339,16 @@ main(int argc, char **argv)
 
         const sim::HardwareConfig hw =
             sim::HardwareConfig::paperTestbed();
+        const sys::ExperimentRunner runner(model, hw, options);
         if (format != "json") {
-            std::cout << "generating trace ("
-                      << (options.warmup + options.iterations + 2)
-                      << " batches of " << model.trace.idsPerBatch()
+            // The runner's trace, so a replay shows the file's geometry.
+            std::cout << (options.replay_path.empty()
+                              ? std::string("generating trace")
+                              : "replaying " + options.replay_path)
+                      << " (" << runner.dataset().numBatches()
+                      << " batches of " << runner.model().trace.idsPerBatch()
                       << " IDs)\n";
         }
-        const sys::ExperimentRunner runner(model, hw, options);
         std::vector<sys::RunResult> results;
         try {
             results = runner.runAll(specs);

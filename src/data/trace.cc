@@ -126,10 +126,9 @@ TraceGenerator::TraceGenerator(const TraceConfig &config) : config_(config)
     const std::string workload_error =
         config_.workload.validationError(config_.rows_per_table);
     fatalIf(!workload_error.empty(), "workload config: ", workload_error);
-
-    samplers_.reserve(config_.num_tables);
     for (size_t t = 0; t < config_.num_tables; ++t)
-        samplers_.emplace_back(config_.rows_per_table, tableExponent(t));
+        fatalIf(tableExponent(t) < 0.0, "table ", t,
+                " Zipf exponent must be >= 0, got ", tableExponent(t));
 }
 
 double
@@ -159,24 +158,16 @@ TraceGenerator::writeRecord(uint64_t index,
 {
     record[0] = index;
     const size_t ids_per_table = config_.idsPerTable();
-    const bool stationary = config_.workload.stationary();
     for (size_t t = 0; t < config_.num_tables; ++t) {
         tensor::Rng rng(streamSeed(kStreamIds, t, index));
-        const auto ids = record.subspan(1 + t * ids_per_table,
-                                        ids_per_table);
-        if (stationary) {
-            // Classic path: byte-identical to the pre-workload
-            // generator (the shaper would reproduce it, but skipping
-            // construction keeps the hot path allocation-free).
-            for (uint64_t &id : ids)
-                id = samplers_[t].sample(rng);
-        } else {
-            WorkloadShaper shaper(config_.workload, config_.seed,
-                                  config_.rows_per_table,
-                                  tableExponent(t), t, index);
-            for (uint64_t &id : ids)
-                id = shaper.sample(rng);
-        }
+        // A stationary config makes the shaper a plain Zipf draw at the
+        // table's exponent: no churn permutation and no burst draw.
+        WorkloadShaper shaper(config_.workload, config_.seed,
+                              config_.rows_per_table, tableExponent(t), t,
+                              index);
+        for (uint64_t &id : record.subspan(1 + t * ids_per_table,
+                                           ids_per_table))
+            id = shaper.sample(rng);
     }
 }
 

@@ -27,7 +27,6 @@
 
 #include "data/locality.h"
 #include "data/workload.h"
-#include "data/zipf.h"
 #include "tensor/matrix.h"
 
 namespace sp::data
@@ -155,9 +154,6 @@ class TraceGenerator
                         uint64_t index) const;
 
     TraceConfig config_;
-    // One sampler per table; sample() is const in effect but the
-    // sampler caches its normaliser, hence mutable.
-    mutable std::vector<ZipfSampler> samplers_;
 };
 
 } // namespace sp::data

@@ -23,8 +23,9 @@
  * schedule position is a pure function of the batch index and the
  * shaping draws extend the batch's existing ID stream, so the
  * bit-identity contract and the content-addressed trace cache work
- * unchanged. A stationary config (all knobs zero) bypasses shaping
- * entirely and reproduces the classic generator stream byte for byte.
+ * unchanged. Every batch goes through the shaper; a stationary config
+ * (all knobs zero) makes it a plain Zipf draw at the base exponent, the
+ * classic generator stream byte for byte.
  *
  * WorkloadSpec adds the replay alternative: instead of generating,
  * open a previously recorded trace file (TraceDataset::open) and run
@@ -121,9 +122,9 @@ struct WorkloadSpec
  * Per-(table, batch) shaping state: resolves the schedule position,
  * the effective exponent, the churn permutation and the burst window
  * once, then shapes each sampled ID. Constructed inside writeRecord for
- * every non-stationary (table, batch) pair -- construction is O(1)
- * except for the O(churn_k) permutation, and holds no shared state,
- * so concurrent writeRecord calls stay safe.
+ * every (table, batch) pair -- construction is O(1) except for the
+ * O(churn_k) permutation, and holds no shared state, so concurrent
+ * writeRecord calls stay safe.
  */
 class WorkloadShaper
 {

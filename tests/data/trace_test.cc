@@ -102,6 +102,15 @@ TEST(Trace, PerTableExponentSizeMismatchFatal)
     EXPECT_THROW(TraceGenerator{config}, FatalError);
 }
 
+TEST(Trace, NegativeTableExponentFatal)
+{
+    // A trace file's header carries the exponents, so opening one with
+    // an exponent no Zipf draw accepts fails at construction.
+    TraceConfig config = smallConfig();
+    config.per_table_exponents = {0.5, -0.1, 1.2};
+    EXPECT_THROW(TraceGenerator{config}, FatalError);
+}
+
 TEST(Trace, DenseFeatureGeometryAndDeterminism)
 {
     TraceGenerator gen(smallConfig());

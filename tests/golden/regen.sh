@@ -50,5 +50,10 @@ serve="serve:rate=500000,arrival=bursty,batch_max=16,budget_us=300"
 "$build"/bench_figures --figure fig13_speedup --quick --json \
     > "$root"/tests/golden/fig13_quick.json
 
+# Keep the counts in sync with golden_table1's ENVIRONMENT.
+SP_BENCH_WARMUP=5 SP_BENCH_MEASURE=10 "$build"/bench_figures \
+    --figure table1_training_cost --no-trace-cache \
+    > "$root"/tests/golden/table1.txt
+
 echo "regenerated:"
-ls -l "$root"/tests/golden/*.json
+ls -l "$root"/tests/golden/*.json "$root"/tests/golden/table1.txt

@@ -613,39 +613,40 @@ overheadStorage(const FigureOptions &)
         sys::ScratchPipeOptions options;
         options.cache_fraction = fraction;
         options.warm_start = false;
-        std::vector<core::ScratchPipeController> controllers;
-        for (size_t t = 0; t < model.trace.num_tables; ++t)
-            controllers.push_back(sys::makeScratchpadController(
-                model, options, cache::SlotArray::Backing::Phantom, t));
+        const uint32_t slots = sys::scratchpadSlots(model, options);
 
         data::TraceConfig trace = model.trace;
         trace.locality = data::Locality::Random;
         trace.seed = 2027;
         data::TraceDataset dataset(trace, 12);
 
-        // One batch at a time, so every table's held count is read
-        // after each of its plans.
+        // One pool task per table, as in ScratchPipeSystem::simulate:
+        // it builds the table's controller, reads its held count after
+        // each plan and its metadata bytes after the last, and frees
+        // it, so at most one controller per pool lane is alive.
         std::vector<uint64_t> held(trace.num_tables, 0);
-        for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
-            common::parallelFor(trace.num_tables, [&](size_t t) {
-                std::vector<std::span<const uint64_t>> futures;
-                sys::planTableBatch(controllers[t], dataset, b, t, futures);
+        std::vector<size_t> metadata(trace.num_tables);
+        common::parallelFor(trace.num_tables, [&](size_t t) {
+            core::ScratchPipeController controller =
+                sys::makeScratchpadController(model, options, t);
+            std::vector<std::span<const uint64_t>> futures;
+            for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
+                sys::planTableBatch(controller, dataset, b, t, futures);
                 held[t] = std::max<uint64_t>(
-                    held[t], controllers[t].holdMask().heldCount());
-            });
-        }
+                    held[t], controller.holdMask().heldCount());
+            }
+            metadata[t] = controller.metadataBytes();
+        });
         const uint64_t peak_held = *std::max_element(held.begin(), held.end());
         double storage_bytes = 0.0, metadata_bytes = 0.0;
-        for (const auto &controller : controllers) {
-            storage_bytes +=
-                static_cast<double>(controller.storage().storageBytes());
-            metadata_bytes +=
-                static_cast<double>(controller.metadataBytes());
+        for (size_t t = 0; t < trace.num_tables; ++t) {
+            storage_bytes += static_cast<double>(
+                sys::scratchpadStorageBytes(model, slots));
+            metadata_bytes += static_cast<double>(metadata[t]);
         }
 
         table.addRow(
-            {percent(fraction, 0),
-             std::to_string(controllers.front().config().num_slots),
+            {percent(fraction, 0), std::to_string(slots),
              mib(storage_bytes), mib(metadata_bytes),
              mib(storage_bytes + metadata_bytes),
              std::to_string(peak_held),

@@ -1,55 +1,30 @@
 /**
  * @file
- * The Storage array of the GPU embedding cache.
+ * The Storage backing selector that only the perfbench driver still
+ * sets.
  *
- * Fixed-capacity dense float storage indexed by slot, standing in for
- * the GPU-DRAM data array of the paper's scratchpad (Section IV-D).
- * Like embedding tables it supports a phantom backing for timing-only
- * runs where only geometry matters.
+ * No cache tier holds Storage floats: the [Plan] controller decides
+ * which slot each row uses, the timing models charge Storage by
+ * formula (slots x row bytes), and the functional trainers keep every
+ * slot-aligned row array in an emb::EmbeddingTable with one row per
+ * slot.
  */
 
 #ifndef SP_CACHE_SLOT_ARRAY_H
 #define SP_CACHE_SLOT_ARRAY_H
 
-#include <cstdint>
-#include <cstddef>
-#include <vector>
-
 namespace sp::cache
 {
 
-/** Dense slot-indexed embedding storage. */
-class SlotArray
+/** Unused: ControllerConfig::backing stays only because the perfbench
+ *  driver sets it, and goes with ROADMAP item 1. */
+struct SlotArray
 {
-  public:
     enum class Backing
     {
         Dense,
         Phantom,
     };
-
-    SlotArray(uint32_t num_slots, size_t dim,
-              Backing backing = Backing::Dense);
-
-    uint32_t numSlots() const { return num_slots_; }
-    size_t dim() const { return dim_; }
-    size_t rowBytes() const { return dim_ * sizeof(float); }
-    bool isDense() const { return backing_ == Backing::Dense; }
-
-    /** Bytes of embedding storage this array provisions (§VI-D). */
-    uint64_t storageBytes() const
-    {
-        return static_cast<uint64_t>(num_slots_) * rowBytes();
-    }
-
-    float *slot(uint32_t index);
-    const float *slot(uint32_t index) const;
-
-  private:
-    uint32_t num_slots_;
-    size_t dim_;
-    Backing backing_;
-    std::vector<float> data_;
 };
 
 } // namespace sp::cache

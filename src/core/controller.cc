@@ -13,17 +13,12 @@ ScratchPipeController::ScratchPipeController(const ControllerConfig &config)
       holds_(config.num_slots, config.past_window, config.future_window),
       policy_(cache::makePolicy(config.policy, config.num_slots,
                                 config.policy_seed)),
-      storage_(config.num_slots, config.dim, config.backing),
       slot_key_(config.num_slots, kNoKey)
 {
     fatalIf(config.num_slots == 0,
             "ScratchPipe controller needs at least one slot");
-    fatalIf(config.dim == 0, "embedding dimension must be positive");
 
     if (config.warm_start) {
-        fatalIf(storage_.isDense(),
-                "warm_start requires phantom Storage (no values exist "
-                "for the pre-resident rows)");
         fatalIf(config.num_slots > (1ull << 31),
                 "warm_start slot count out of row-ID range");
         // Resident set = rows 0..num_slots-1 (the hottest ranks).
@@ -194,24 +189,24 @@ ScratchPipeController::slotOf(uint64_t id) const
 }
 
 ScratchPipeController::Accessor::Accessor(
-    const ScratchPipeController &controller, cache::SlotArray &slots)
+    const ScratchPipeController &controller, emb::EmbeddingTable &slots)
     : controller_(controller), slots_(slots)
 {
-    panicIf(slots.numSlots() != controller.config().num_slots,
-            "accessor over ", slots.numSlots(), " slots for a ",
+    panicIf(slots.rows() != controller.config().num_slots,
+            "accessor over ", slots.rows(), " slots for a ",
             controller.config().num_slots, "-slot scratchpad");
 }
 
 float *
 ScratchPipeController::Accessor::row(uint64_t id)
 {
-    return slots_.slot(controller_.slotOf(id));
+    return slots_.row(controller_.slotOf(id));
 }
 
 const float *
 ScratchPipeController::Accessor::row(uint64_t id) const
 {
-    return slots_.slot(controller_.slotOf(id));
+    return slots_.row(controller_.slotOf(id));
 }
 
 void

@@ -17,13 +17,16 @@
  *   [Train]    gather/scatter every ID of the batch in Storage --
  *              guaranteed to hit.
  *
- * The controller manipulates IDs and slots only; actual float movement
- * is the system layer's job (functional runs) or skipped entirely
- * (timing runs). This split keeps Algorithm 1 testable in isolation.
- * Its Accessor resolves IDs into Storage or any other slot-aligned
- * array, and forEachResident() lists the resident rows for a drain.
- * The host answers Hit-Map queries from a cache::RowIndex; the GPU
- * Hit-Map itself is charged by formula (metadataBytes()).
+ * The controller is a pure planner: it holds IDs, slots and hold
+ * masks, and no floats. Whoever moves rows owns them. The functional
+ * trainer keeps each slot-aligned row array (the Storage values, the
+ * AdaGrad accumulators) in an emb::EmbeddingTable with one row per
+ * slot, and the timing models charge Storage by formula. This split
+ * keeps Algorithm 1 testable in isolation. Its Accessor resolves IDs
+ * into any such table, and forEachResident() lists the resident rows
+ * for a drain. The host answers Hit-Map queries from a
+ * cache::RowIndex; the GPU Hit-Map itself is charged by formula
+ * (metadataBytes()).
  *
  * plan() dispatches on the replacement policy once per call, so its
  * classify loop is compiled for that policy's concrete type: touch()
@@ -56,8 +59,6 @@ struct ControllerConfig
 {
     /** Storage slots in the GPU scratchpad for this table. */
     uint32_t num_slots = 0;
-    /** Embedding dimension. */
-    size_t dim = 0;
     /** Plans a current-batch mark survives (paper default 3). */
     uint32_t past_window = 3;
     /** Future batches pre-marked per plan (paper default 2). */
@@ -67,19 +68,21 @@ struct ControllerConfig
     /** Seed for randomized policies. */
     uint64_t policy_seed = 1;
     /** Unused: [Plan] has no mark-pass shards or probe kernel left to
-     *  pick. They stay only because the perfbench driver sets them,
-     *  and go with ROADMAP item 1. */
+     *  pick, and the controller holds no Storage for `dim` and
+     *  `backing` to shape. They stay only because the perfbench driver
+     *  sets them, and go with ROADMAP item 1. */
     uint32_t plan_shards = 1;
     cache::ProbeMode probe = cache::ProbeMode::Auto;
-    /** Materialise Storage floats (functional) or not (timing). */
+    size_t dim = 0;
     cache::SlotArray::Backing backing = cache::SlotArray::Backing::Dense;
     /**
      * Start with a full scratchpad holding rows 0..num_slots-1 (the
      * hottest ranks of the synthetic samplers), slot 0 most recently
      * used -- the LRU steady state a long run converges to. Lets the
      * timing benches measure steady state without tens of fill-up
-     * batches. Phantom backing only: a dense Storage would hold no
-     * values for the pre-resident rows.
+     * batches. Timing runs only: a trainer's Storage would hold no
+     * values for the pre-resident rows, so the functional trainer
+     * forces it off.
      */
     bool warm_start = false;
 };
@@ -173,37 +176,30 @@ class ScratchPipeController
      *  produce as a row ID. */
     static constexpr uint64_t kNoKey = 0xffffffffffffffffull;
 
-    /** Mutable Storage (functional fill/evict/train data movement). */
-    cache::SlotArray &storage() { return storage_; }
-    const cache::SlotArray &storage() const { return storage_; }
-
     const HoldMask &holdMask() const { return holds_; }
     const ControllerStats &stats() const { return stats_; }
 
     /**
      * Row accessor resolving resident IDs to their rows of a
-     * slot-aligned array: Storage, or any array that keeps one row per
-     * slot beside it (e.g. per-row optimizer state). The [Train]
-     * stage's gather/scatter target. Panics on non-resident IDs --
-     * i.e. if the "always hits" guarantee were ever violated.
+     * slot-aligned table (one row per slot): the Storage values, or
+     * the per-row optimizer state beside them. The [Train] stage's
+     * gather/scatter target. Panics on non-resident IDs -- i.e. if the
+     * "always hits" guarantee were ever violated.
      */
     class Accessor : public emb::RowAccessor
     {
       public:
         /** `slots` must have one row per controller slot. */
         Accessor(const ScratchPipeController &controller,
-                 cache::SlotArray &slots);
+                 emb::EmbeddingTable &slots);
         float *row(uint64_t id) override;
         const float *row(uint64_t id) const override;
         size_t dim() const override { return slots_.dim(); }
 
       private:
         const ScratchPipeController &controller_;
-        cache::SlotArray &slots_;
+        emb::EmbeddingTable &slots_;
     };
-
-    /** Accessor over Storage. */
-    Accessor accessor() { return Accessor(*this, storage_); }
 
     /**
      * Visit every resident (key, slot) pair: the end-of-training drain
@@ -240,7 +236,6 @@ class ScratchPipeController
     cache::RowIndex index_;
     HoldMask holds_;
     cache::Policy policy_;
-    cache::SlotArray storage_;
     std::vector<uint64_t> slot_key_;
     ControllerStats stats_;
     // Reusable plan() scratch: cleared (capacity kept) every plan, so

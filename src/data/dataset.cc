@@ -206,7 +206,7 @@ TraceDataset::denseFeatures(uint64_t index) const
 tensor::Matrix
 TraceDataset::labels(uint64_t index) const
 {
-    return generator_.makeLabels(index);
+    return generator_.makeLabels(batch(index));
 }
 
 sp::Status

@@ -189,7 +189,7 @@ TraceGenerator::makeDenseFeatures(uint64_t index) const
 }
 
 tensor::Matrix
-TraceGenerator::makeLabels(uint64_t index) const
+TraceGenerator::makeLabels(const MiniBatch &batch) const
 {
     // Hidden CTR model with two learnable components: a fixed +/-1
     // weighting of the dense features (reachable through the bottom
@@ -197,10 +197,8 @@ TraceGenerator::makeLabels(uint64_t index) const
     // through the embedding tables). The label is a Bernoulli draw on
     // the sigmoid of the combined score, so training has real signal
     // to extract along both paths.
-    const std::vector<uint64_t> record = makeRecord(index);
-    const MiniBatch batch = MiniBatch::fromRecord(record, config_);
-    const tensor::Matrix dense = makeDenseFeatures(index);
-    tensor::Rng rng(streamSeed(kStreamLabel, 0, index));
+    const tensor::Matrix dense = makeDenseFeatures(batch.index);
+    tensor::Rng rng(streamSeed(kStreamLabel, 0, batch.index));
     tensor::Matrix labels(config_.batch_size, 1);
 
     const size_t lookups = config_.lookups_per_table;

@@ -140,11 +140,13 @@ class TraceGenerator
     tensor::Matrix makeDenseFeatures(uint64_t index) const;
 
     /**
-     * Click labels for batch `index`: batch_size x 1 in {0,1}. Labels
-     * are drawn from a hidden model over the batch's sparse IDs so the
-     * task is learnable through the embedding tables.
+     * Click labels for `batch`, which has config()'s geometry:
+     * batch_size x 1 in {0,1}. Labels are drawn from a hidden model
+     * over the IDs the batch holds (generated or read from a file) and
+     * the dense features of its index, so the task is learnable
+     * through the embedding tables.
      */
-    tensor::Matrix makeLabels(uint64_t index) const;
+    tensor::Matrix makeLabels(const MiniBatch &batch) const;
 
     /** Zipf exponent in effect for table t. */
     double tableExponent(size_t table) const;

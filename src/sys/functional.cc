@@ -182,9 +182,9 @@ namespace
 
 /**
  * A table behind its static cache: the cached rows' copies sit in a
- * slot array, found through a row index, and every other row is the
- * table's own. Construction copies the cached rows in; drain() copies
- * them back.
+ * table with one row per slot, found through a row index, and every
+ * other row is the table's own. Construction copies the cached rows
+ * in; drain() copies them back.
  */
 class StaticCachedTable : public emb::RowAccessor
 {
@@ -193,11 +193,11 @@ class StaticCachedTable : public emb::RowAccessor
     StaticCachedTable(emb::EmbeddingTable &table,
                       std::span<const uint64_t> cached_rows)
         : table_(table),
-          copies_(static_cast<uint32_t>(cached_rows.size()), table.dim())
+          copies_(cached_rows.size(), table.dim())
     {
         for (uint32_t slot = 0; slot < cached_rows.size(); ++slot) {
             index_.insert(cached_rows[slot], slot);
-            std::memcpy(copies_.slot(slot), table.row(cached_rows[slot]),
+            std::memcpy(copies_.row(slot), table.row(cached_rows[slot]),
                         copies_.rowBytes());
         }
     }
@@ -207,7 +207,7 @@ class StaticCachedTable : public emb::RowAccessor
     {
         const uint32_t slot = index_.find(id);
         return slot == cache::RowIndex::kNotFound ? table_.row(id)
-                                                  : copies_.slot(slot);
+                                                  : copies_.row(slot);
     }
 
     const float *
@@ -215,7 +215,7 @@ class StaticCachedTable : public emb::RowAccessor
     {
         const uint32_t slot = index_.find(id);
         return slot == cache::RowIndex::kNotFound ? table_.row(id)
-                                                  : copies_.slot(slot);
+                                                  : copies_.row(slot);
     }
 
     size_t dim() const override { return table_.dim(); }
@@ -225,7 +225,7 @@ class StaticCachedTable : public emb::RowAccessor
     drain()
     {
         index_.forEach([this](uint64_t id, uint32_t slot) {
-            std::memcpy(table_.row(id), copies_.slot(slot),
+            std::memcpy(table_.row(id), copies_.row(slot),
                         copies_.rowBytes());
         });
     }
@@ -233,7 +233,7 @@ class StaticCachedTable : public emb::RowAccessor
   private:
     emb::EmbeddingTable &table_;
     cache::RowIndex index_;
-    cache::SlotArray copies_;
+    emb::EmbeddingTable copies_;
 };
 
 } // namespace
@@ -303,24 +303,23 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
     fatalIf(options.gpus != 1,
             "the functional ScratchPipe trainer runs on one GPU, got "
             "gpus=", options.gpus);
-    // Warm start pre-fills phantom Storage only: dense Storage would
-    // hold no values for the pre-resident rows.
+    // Warm start pre-fills the timing runs' scratchpads only: Storage
+    // would hold no values for the pre-resident rows.
     options_.warm_start = false;
+    const uint32_t slots = scratchpadSlots(config_, options_);
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
-        controllers_.push_back(makeScratchpadController(
-            config_, options_, cache::SlotArray::Backing::Dense, t));
+        controllers_.push_back(makeScratchpadController(config_, options_, t));
+        storage_.emplace_back(slots, config_.embedding_dim);
         // The accumulator of a resident row lives at the row's slot.
         if (config_.optimizer == Optimizer::AdaGrad)
-            state_storage_.emplace_back(
-                controllers_.back().config().num_slots,
-                config_.embedding_dim, cache::SlotArray::Backing::Dense);
+            state_storage_.emplace_back(slots, config_.embedding_dim);
     }
 }
 
 std::vector<FunctionalScratchPipeTrainer::RowPlane>
 FunctionalScratchPipeTrainer::rowPlanes(size_t t)
 {
-    std::vector<RowPlane> planes{{&tables_[t], &controllers_[t].storage()}};
+    std::vector<RowPlane> planes{{&tables_[t], &storage_[t]}};
     if (!state_storage_.empty())
         planes.push_back({&state_tables_[t], &state_storage_[t]});
     return planes;
@@ -368,7 +367,7 @@ FunctionalScratchPipeTrainer::collectBatch(uint64_t index)
             staged.evictions[p].resize(plan.evictions.size(), dim);
             for (size_t e = 0; e < plan.evictions.size(); ++e)
                 std::memcpy(staged.evictions[p].row(e),
-                            planes[p].slots->slot(plan.evictions[e].slot),
+                            planes[p].slots->row(plan.evictions[e].slot),
                             dim * sizeof(float));
         }
         if (auditing_) {
@@ -395,7 +394,7 @@ FunctionalScratchPipeTrainer::insertBatch(uint64_t index)
             // Fills land in the scratchpad; evicted (dirty) rows
             // return to the CPU tables.
             for (size_t f = 0; f < plan.fills.size(); ++f)
-                std::memcpy(planes[p].slots->slot(plan.fills[f].slot),
+                std::memcpy(planes[p].slots->row(plan.fills[f].slot),
                             staged.fills[p].row(f), dim * sizeof(float));
             for (size_t e = 0; e < plan.evictions.size(); ++e)
                 std::memcpy(planes[p].table->row(plan.evictions[e].id),
@@ -423,7 +422,7 @@ FunctionalScratchPipeTrainer::trainBatch(const data::TraceDataset &dataset,
     std::vector<core::ScratchPipeController::Accessor> value_slots;
     std::vector<core::ScratchPipeController::Accessor> state_slots;
     for (size_t t = 0; t < controllers_.size(); ++t) {
-        value_slots.push_back(controllers_[t].accessor());
+        value_slots.emplace_back(controllers_[t], storage_[t]);
         if (!state_storage_.empty())
             state_slots.emplace_back(controllers_[t], state_storage_[t]);
     }
@@ -504,7 +503,7 @@ FunctionalScratchPipeTrainer::train(const data::TraceDataset &dataset,
             [&planes](uint64_t key, uint32_t slot) {
                 for (const RowPlane &plane : planes)
                     std::memcpy(plane.table->row(key),
-                                plane.slots->slot(slot),
+                                plane.slots->row(slot),
                                 plane.slots->rowBytes());
             });
     }

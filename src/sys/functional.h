@@ -14,14 +14,17 @@
  *                                  auditing, and the always-hit
  *                                  scratchpad (Fig 10/11);
  *
- * The caching trainers move a row's data one way. The static-cache
- * trainer keeps its cached rows' copies at slots of a cache::SlotArray,
- * found through a cache::RowIndex, and reads every other row from the
- * table. The ScratchPipe trainer treats a row as slot-aligned planes
- * -- the embedding values, plus the AdaGrad accumulators when the
- * optimizer keeps them -- each a CPU table plus a scratchpad array;
- * [Collect], [Insert] and the end-of-run drain run one loop over the
- * planes, so optimizer state travels exactly as the values do.
+ * The caching trainers own every float they move, and move a row's
+ * data one way. The static-cache trainer keeps its cached rows' copies
+ * in an emb::EmbeddingTable with one row per slot, found through a
+ * cache::RowIndex, and reads every other row from the table. The
+ * ScratchPipe trainer's controllers only plan; the trainer treats a
+ * row as slot-aligned planes -- the embedding values, plus the AdaGrad
+ * accumulators when the optimizer keeps them -- each a CPU table plus
+ * a scratchpad table with one row per slot (storage_ and
+ * state_storage_). [Collect], [Insert] and the end-of-run drain run
+ * one loop over the planes, so optimizer state travels exactly as the
+ * values do.
  *
  * All three use the *same* kernels in the same accumulation order, so
  * the algorithmic-equivalence property holds bit-for-bit: after N
@@ -36,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/slot_array.h"
 #include "core/controller.h"
 #include "core/hazard_audit.h"
 #include "data/dataset.h"
@@ -148,7 +150,7 @@ class FunctionalScratchPipeTrainer
   public:
     /**
      * `options` configure the scratchpad as for ScratchPipeSystem.
-     * warm_start is forced off (dense Storage would hold no values for
+     * warm_start is forced off (Storage would hold no values for
      * pre-resident rows), gpus must be 1, and the per-cycle hazard
      * auditor runs whenever the trainer is pipelined.
      */
@@ -187,7 +189,7 @@ class FunctionalScratchPipeTrainer
     struct RowPlane
     {
         emb::EmbeddingTable *table;
-        cache::SlotArray *slots;
+        emb::EmbeddingTable *slots;
     };
     /** Per-table staged data of one in-flight mini-batch. */
     struct StagedTable
@@ -215,9 +217,11 @@ class FunctionalScratchPipeTrainer
     std::vector<emb::EmbeddingTable> state_tables_;
     nn::DlrmModel model_;
     std::vector<core::ScratchPipeController> controllers_;
-    // The state plane's scratchpad half: one array per table,
-    // slot-aligned with the controller's Storage (AdaGrad only).
-    std::vector<cache::SlotArray> state_storage_;
+    // The scratchpad halves of the planes, one table per controller
+    // with a row per slot: the values' Storage, and the AdaGrad
+    // accumulators (empty under SGD).
+    std::vector<emb::EmbeddingTable> storage_;
+    std::vector<emb::EmbeddingTable> state_storage_;
     core::HazardAuditor auditor_;
     bool auditing_ = false;
     // Staged data of each in-flight batch, per table, by batch index.

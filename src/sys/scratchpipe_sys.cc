@@ -43,19 +43,23 @@ scratchpadSlots(const ModelConfig &model, const ScratchPipeOptions &options)
 
 core::ScratchPipeController
 makeScratchpadController(const ModelConfig &model,
-                         const ScratchPipeOptions &options,
-                         cache::SlotArray::Backing backing, size_t table)
+                         const ScratchPipeOptions &options, size_t table)
 {
     core::ControllerConfig cc;
     cc.num_slots = scratchpadSlots(model, options);
-    cc.dim = model.embedding_dim;
     cc.past_window = options.pipelined ? options.past_window : 0;
     cc.future_window = options.pipelined ? options.future_window : 0;
     cc.policy = options.policy;
-    cc.backing = backing;
     cc.warm_start = options.warm_start;
     cc.policy_seed = 0x5eed + table;
     return core::ScratchPipeController(cc);
+}
+
+uint64_t
+scratchpadStorageBytes(const ModelConfig &model, uint32_t slots)
+{
+    return uint64_t{slots} *
+           (model.rowBytes() + model.optimizerStateBytesPerRow());
 }
 
 ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
@@ -226,24 +230,22 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
         }
     };
 
-    // Real controllers (phantom storage) drive hit/miss behaviour.
-    // Table t's plans depend only on its own earlier plans, so each
-    // table is one pool task that builds its controller, streams it
-    // through every batch and frees it: at most one controller per
-    // pool lane is alive, and no barrier joins the tables between
-    // batches. Warm-up batches run through the controllers
-    // (populating the scratchpad toward steady state, as the paper's
-    // measurements do) but contribute nothing to the accumulators.
+    // Real controllers drive hit/miss behaviour. Table t's plans
+    // depend only on its own earlier plans, so each table is one pool
+    // task that builds its controller, streams it through every batch
+    // and frees it: at most one controller per pool lane is alive, and
+    // no barrier joins the tables between batches. Warm-up batches run
+    // through the controllers (populating the scratchpad toward steady
+    // state, as the paper's measurements do) but contribute nothing to
+    // the accumulators.
     const size_t tables = trace.num_tables;
     const uint64_t batches = warmup + iterations;
     std::vector<TablePlanOutcome> outcomes(batches * tables);
-    std::vector<uint64_t> storage_bytes(tables);
     std::vector<size_t> metadata_bytes(tables);
     common::parallelFor(tables, [&](size_t t) {
-        core::ScratchPipeController controller = makeScratchpadController(
-            model_, options_, cache::SlotArray::Backing::Phantom, t);
+        core::ScratchPipeController controller =
+            makeScratchpadController(model_, options_, t);
         planTableStream(controller, dataset, t, tables, outcomes);
-        storage_bytes[t] = controller.storage().storageBytes();
         metadata_bytes[t] = controller.metadataBytes();
     });
     for (uint64_t i = warmup; i < batches; ++i)
@@ -289,9 +291,11 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     result.busy.gpu_busy_seconds = gpu_busy;
 
     result.hit_rate = hitRate(total_hits, total_ids);
+    const uint64_t storage_bytes =
+        scratchpadStorageBytes(model_, slots_per_table_);
     double gpu_bytes = 0.0;
     for (size_t t = 0; t < tables; ++t) {
-        gpu_bytes += static_cast<double>(storage_bytes[t]);
+        gpu_bytes += static_cast<double>(storage_bytes);
         gpu_bytes += static_cast<double>(metadata_bytes[t]);
     }
     result.gpu_bytes = gpu_bytes;

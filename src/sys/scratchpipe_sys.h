@@ -7,7 +7,8 @@
  * real controller (row index, Hold masks, Algorithm 1) over the trace
  * to obtain the exact per-batch fill/evict counts, then charges each
  * stage's traffic, the modeled GPU Hit-Map's included, to the
- * hardware resources:
+ * hardware resources. No floats move: Storage, like the Hit-Map, is
+ * charged by formula (scratchpadStorageBytes()).
  *
  *   Load      host reads the next mini-batch's sparse IDs;
  *   Plan      IDs H2D + Hit-Map query + victim planning (GPU);
@@ -109,12 +110,20 @@ uint32_t scratchpadSlots(const ModelConfig &model,
 
 /**
  * Table `table`'s controller: scratchpadSlots() slots, seeded
- * 0x5eed + table. `gpus` is the caller's.
+ * 0x5eed + table. `gpus` is the caller's. The controller only plans;
+ * the caller owns whatever rows its slots index.
  */
 core::ScratchPipeController
 makeScratchpadController(const ModelConfig &model,
-                         const ScratchPipeOptions &options,
-                         cache::SlotArray::Backing backing, size_t table);
+                         const ScratchPipeOptions &options, size_t table);
+
+/**
+ * GPU bytes of one table's Storage at `slots` slots: each slot holds
+ * a row's values and, when the optimizer keeps per-row state
+ * (AdaGrad), its accumulators, which travel with the row on every
+ * fill, write-back and scatter.
+ */
+uint64_t scratchpadStorageBytes(const ModelConfig &model, uint32_t slots);
 
 /** Timing model of ScratchPipe / straw-man. */
 class ScratchPipeSystem : public System

@@ -27,7 +27,6 @@ baseConfig(uint32_t slots, uint32_t past = 3, uint32_t future = 2)
 {
     ControllerConfig config;
     config.num_slots = slots;
-    config.dim = 4;
     config.past_window = past;
     config.future_window = future;
     return config;
@@ -265,35 +264,37 @@ TEST(Controller, HitRateTracksLocality)
 
 TEST(Controller, AccessorResolvesResidentRows)
 {
-    auto config = baseConfig(16);
-    config.backing = cache::SlotArray::Backing::Dense;
-    ScratchPipeController controller(config);
+    ScratchPipeController controller(baseConfig(16));
     controller.plan(std::vector<uint64_t>{3}, kNoFutures);
 
-    auto accessor = controller.accessor();
+    emb::EmbeddingTable storage(16, 4);
+    ScratchPipeController::Accessor accessor(controller, storage);
     EXPECT_EQ(accessor.dim(), 4u);
     accessor.row(3)[0] = 42.0f;
-    EXPECT_EQ(controller.storage().slot(controller.slotOf(3))[0], 42.0f);
+    EXPECT_EQ(storage.row(controller.slotOf(3))[0], 42.0f);
     EXPECT_THROW(accessor.row(999), PanicError);
 }
 
 TEST(Controller, AccessorResolvesIntoAnySlotAlignedArray)
 {
     // The functional trainer keeps per-row optimizer state at each
-    // resident row's slot, in an array beside Storage.
-    auto config = baseConfig(16);
-    config.backing = cache::SlotArray::Backing::Dense;
-    ScratchPipeController controller(config);
+    // resident row's slot, in a table beside the values' Storage; an
+    // accessor over either reaches only that table.
+    ScratchPipeController controller(baseConfig(16));
     controller.plan(std::vector<uint64_t>{3}, kNoFutures);
 
-    cache::SlotArray state(16, 4);
-    ScratchPipeController::Accessor accessor(controller, state);
-    accessor.row(3)[0] = 5.0f;
-    EXPECT_EQ(state.slot(controller.slotOf(3))[0], 5.0f);
-    EXPECT_EQ(controller.storage().slot(controller.slotOf(3))[0], 0.0f);
-    EXPECT_THROW(accessor.row(999), PanicError);
+    emb::EmbeddingTable values(16, 4), state(16, 2);
+    ScratchPipeController::Accessor value_rows(controller, values);
+    ScratchPipeController::Accessor state_rows(controller, state);
+    EXPECT_EQ(state_rows.dim(), 2u);
+    value_rows.row(3)[0] = 42.0f;
+    state_rows.row(3)[0] = 5.0f;
+    const uint32_t slot = controller.slotOf(3);
+    EXPECT_EQ(values.row(slot)[0], 42.0f);
+    EXPECT_EQ(state.row(slot)[0], 5.0f);
+    EXPECT_THROW(state_rows.row(999), PanicError);
 
-    cache::SlotArray misaligned(8, 4);
+    emb::EmbeddingTable misaligned(8, 4);
     EXPECT_THROW(ScratchPipeController::Accessor(controller, misaligned),
                  PanicError);
 }
@@ -321,9 +322,7 @@ TEST(Controller, MetadataBytesChargeTheModeledHitMap)
     // the hold masks and the slot keys. 1, 8 and 9 straddle the
     // 16-bucket floor; 245760 is the perfbench geometry's slot count.
     for (const uint32_t slots : {1u, 8u, 9u, 100000u, 245760u}) {
-        auto config = baseConfig(slots);
-        config.backing = cache::SlotArray::Backing::Phantom;
-        const ScratchPipeController controller(config);
+        const ScratchPipeController controller(baseConfig(slots));
         cache::HitMap map(slots);
         for (uint32_t slot = 0; slot < slots; ++slot)
             map.insert(slot, slot);
@@ -375,9 +374,6 @@ TEST(Controller, StatsAccumulate)
 TEST(Controller, InvalidConfigFatal)
 {
     EXPECT_THROW(ScratchPipeController(baseConfig(0)), FatalError);
-    auto config = baseConfig(4);
-    config.dim = 0;
-    EXPECT_THROW(ScratchPipeController{config}, FatalError);
 }
 
 class ControllerPolicies

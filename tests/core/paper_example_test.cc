@@ -30,7 +30,6 @@ figure11Config()
 {
     ControllerConfig config;
     config.num_slots = 5;
-    config.dim = 4;
     config.past_window = 2; // the figure's 3-bit Hold mask
     config.future_window = 0;
     config.policy = cache::PolicyKind::Lru;

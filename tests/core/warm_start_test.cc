@@ -21,8 +21,6 @@ warmConfig(uint32_t slots)
 {
     ControllerConfig config;
     config.num_slots = slots;
-    config.dim = 4;
-    config.backing = cache::SlotArray::Backing::Phantom;
     config.warm_start = true;
     return config;
 }
@@ -75,13 +73,6 @@ TEST(WarmStart, FillsEqualEvictionsFromTheStart)
     const auto &stats = controller.stats();
     EXPECT_EQ(stats.fills, stats.evictions);
     EXPECT_GT(stats.fills, 0u);
-}
-
-TEST(WarmStart, DenseBackingRejected)
-{
-    ControllerConfig config = warmConfig(10);
-    config.backing = cache::SlotArray::Backing::Dense;
-    EXPECT_THROW(ScratchPipeController{config}, FatalError);
 }
 
 TEST(WarmStart, ColdControllerStartsEmptyByDefault)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -140,8 +141,10 @@ TEST(Dataset, DenseAndLabelsDelegateToGenerator)
     TraceGenerator gen(smallConfig());
     EXPECT_TRUE(tensor::Matrix::identical(dataset.denseFeatures(1),
                                           gen.makeDenseFeatures(1)));
-    EXPECT_TRUE(
-        tensor::Matrix::identical(dataset.labels(2), gen.makeLabels(2)));
+    const std::vector<uint64_t> record = gen.makeRecord(2);
+    EXPECT_TRUE(tensor::Matrix::identical(
+        dataset.labels(2),
+        gen.makeLabels(MiniBatch::fromRecord(record, gen.config()))));
 }
 
 TEST(Dataset, SaveLoadRoundTrip)
@@ -181,6 +184,31 @@ TEST(Dataset, LoadedDatasetReproducesLabels)
     const TraceDataset loaded = TraceDataset::open(file.path());
     EXPECT_TRUE(
         tensor::Matrix::identical(loaded.labels(1), original.labels(1)));
+}
+
+TEST(Dataset, LabelsFollowTheStoredIds)
+{
+    // Labels hash the IDs a batch serves, so an opened file's labels
+    // follow the IDs it stores, not the ones its header regenerates.
+    TempFile file;
+    const TraceDataset original(smallConfig(), 3);
+    std::string bytes = savedBytes(original, file.path());
+    const TraceConfig &config = original.config();
+    const size_t record = config.recordWords() * sizeof(uint64_t);
+    // Batch 1's record is the second of three at the end of the file:
+    // its index word, then table 0's IDs.
+    const size_t table0 = bytes.size() - 2 * record + sizeof(uint64_t);
+    std::fill_n(bytes.begin() + table0,
+                config.idsPerTable() * sizeof(uint64_t), '\0');
+    writeBytes(file.path(), bytes);
+
+    const TraceDataset edited = TraceDataset::open(file.path());
+    for (const uint64_t id : edited.batch(1).ids(0))
+        ASSERT_EQ(id, 0u);
+    EXPECT_FALSE(
+        tensor::Matrix::identical(edited.labels(1), original.labels(1)));
+    EXPECT_TRUE(
+        tensor::Matrix::identical(edited.labels(0), original.labels(0)));
 }
 
 TEST(Dataset, RoundTripPreservesFullConfigAndLookAhead)

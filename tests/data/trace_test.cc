@@ -126,12 +126,14 @@ TEST(Trace, DenseFeatureGeometryAndDeterminism)
 TEST(Trace, LabelsAreBinaryAndDeterministic)
 {
     TraceGenerator gen(smallConfig());
-    const auto labels = gen.makeLabels(2);
+    const std::vector<uint64_t> record = gen.makeRecord(2);
+    const MiniBatch batch = MiniBatch::fromRecord(record, gen.config());
+    const auto labels = gen.makeLabels(batch);
     EXPECT_EQ(labels.rows(), 16u);
     EXPECT_EQ(labels.cols(), 1u);
     for (size_t i = 0; i < labels.rows(); ++i)
         EXPECT_TRUE(labels(i, 0) == 0.0f || labels(i, 0) == 1.0f);
-    EXPECT_TRUE(tensor::Matrix::identical(labels, gen.makeLabels(2)));
+    EXPECT_TRUE(tensor::Matrix::identical(labels, gen.makeLabels(batch)));
 }
 
 TEST(Trace, LabelsHaveBothClasses)
@@ -139,7 +141,9 @@ TEST(Trace, LabelsHaveBothClasses)
     TraceConfig config = smallConfig();
     config.batch_size = 256;
     TraceGenerator gen(config);
-    const auto labels = gen.makeLabels(0);
+    const std::vector<uint64_t> record = gen.makeRecord(0);
+    const auto labels =
+        gen.makeLabels(MiniBatch::fromRecord(record, gen.config()));
     int positives = 0;
     for (size_t i = 0; i < labels.rows(); ++i)
         positives += labels(i, 0) > 0.5f ? 1 : 0;

@@ -173,5 +173,42 @@ TEST(AdaGradPipeline, OptimizerNames)
     EXPECT_STREQ(optimizerName(Optimizer::AdaGrad), "AdaGrad");
 }
 
+/** FNV-1a over `size` bytes at `bytes`, continuing from `hash`. */
+uint64_t
+fnv1a(uint64_t hash, const void *bytes, size_t size)
+{
+    const auto *p = static_cast<const unsigned char *>(bytes);
+    for (size_t i = 0; i < size; ++i)
+        hash = (hash ^ p[i]) * 0x100000001b3ull;
+    return hash;
+}
+
+TEST(FunctionalHistory, PipelinedAdaGradDigestIsPinned)
+{
+    // The equivalence tests compare the trainers with each other, so a
+    // change that moves every trainer alike passes them. This pins the
+    // pipelined trainer's values, AdaGrad state and losses to the bits
+    // it produced when the digest was recorded. A deliberate change to
+    // the functional math records a new digest here.
+    ModelConfig model = adagradModel(121);
+    model.trace.locality = data::Locality::Low;
+    data::TraceDataset dataset(model.trace, 16);
+    FunctionalScratchPipeTrainer trainer(model, {.cache_fraction = 0.05});
+    const auto result = trainer.train(dataset, 16);
+    ASSERT_GT(trainer.aggregateStats().evictions, 0u);
+
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (const auto *tables : {&trainer.tables(), &trainer.stateTables()}) {
+        ASSERT_EQ(tables->size(), model.trace.num_tables);
+        for (const emb::EmbeddingTable &table : *tables) {
+            for (uint64_t r = 0; r < table.rows(); ++r)
+                digest = fnv1a(digest, table.row(r), table.rowBytes());
+        }
+    }
+    for (const double loss : result.losses)
+        digest = fnv1a(digest, &loss, sizeof loss);
+    EXPECT_EQ(digest, 0x9436f13105b1f1acull);
+}
+
 } // namespace
 } // namespace sp::sys

@@ -63,12 +63,10 @@ serialOutcomes(const ModelConfig &model, const ScratchPipeOptions &options,
     for (size_t t = 0; t < tables; ++t) {
         core::ControllerConfig cc;
         cc.num_slots = scratchpadSlots(model, options);
-        cc.dim = model.embedding_dim;
         cc.past_window = options.past_window;
         cc.future_window = options.future_window;
         cc.policy = options.policy;
         cc.policy_seed = 0x5eed + t;
-        cc.backing = cache::SlotArray::Backing::Phantom;
         cc.warm_start = options.warm_start;
         controllers.emplace_back(cc);
     }
@@ -126,9 +124,8 @@ TEST(PlanStream, EveryCellMatchesABatchMajorSerialLoop)
                 options.future_window = future;
                 std::vector<core::ScratchPipeController> controllers;
                 for (size_t t = 0; t < tables; ++t)
-                    controllers.push_back(makeScratchpadController(
-                        model, options, cache::SlotArray::Backing::Phantom,
-                        t));
+                    controllers.push_back(
+                        makeScratchpadController(model, options, t));
                 std::vector<TablePlanOutcome> outcomes(kBatches * tables);
                 common::parallelFor(tables, [&](size_t t) {
                     planTableStream(controllers[t], dataset, t, tables,
@@ -160,8 +157,7 @@ TEST(PlanStream, FanoutConsumesEveryBatchInOrder)
     options.policy = cache::PolicyKind::Random;
     std::vector<core::ScratchPipeController> controllers;
     for (size_t t = 0; t < tables; ++t)
-        controllers.push_back(makeScratchpadController(
-            model, options, cache::SlotArray::Backing::Phantom, t));
+        controllers.push_back(makeScratchpadController(model, options, t));
     std::vector<TablePlanOutcome> consumed;
     uint64_t next = 0;
     PlanFanout fanout(tables, options.future_window);

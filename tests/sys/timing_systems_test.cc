@@ -270,6 +270,31 @@ TEST(TimingScratchPipe, SlotCountPastThe32BitSlotSpaceIsFatal)
     EXPECT_EQ(scratchpadSlots(model, spOptions(1.0, true)), 0xfffffffeu);
 }
 
+TEST(TimingScratchPipe, AdaGradStorageHoldsTheStatePlane)
+{
+    // A row's AdaGrad accumulators move with it on every fill,
+    // write-back and scatter, so its slot holds both: Storage costs a
+    // second dim-float row per slot, and nothing else in gpu_bytes
+    // moves.
+    Workload w(data::Locality::Medium);
+    ModelConfig adagrad = w.model;
+    adagrad.optimizer = Optimizer::AdaGrad;
+    for (const bool pipelined : {true, false}) {
+        const ScratchPipeSystem sgd(w.model, kHw,
+                                    spOptions(0.10, pipelined));
+        const ScratchPipeSystem ada(adagrad, kHw,
+                                    spOptions(0.10, pipelined));
+        const double extra =
+            ada.simulate(w.dataset, w.stats, w.iters).gpu_bytes -
+            sgd.simulate(w.dataset, w.stats, w.iters).gpu_bytes;
+        EXPECT_EQ(extra, static_cast<double>(w.model.trace.num_tables *
+                                             uint64_t{sgd.slotsPerTable()} *
+                                             w.model.embedding_dim *
+                                             sizeof(float)))
+            << (pipelined ? "scratchpipe" : "strawman");
+    }
+}
+
 TEST(TimingScratchPipe, TrainBoundAtHighLocality)
 {
     // With most lookups hitting, the GPU [Train] stage binds the
